@@ -18,7 +18,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("banking-hot", "tpcc-mix", "serve-banking-sync")
+WORKLOADS = ("banking-hot", "tpcc-mix")
 
 
 def build_dir():
@@ -52,7 +52,8 @@ def main():
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--threads", type=int, default=0,
-                    help="in-process workers (default: one per core, at most 4)")
+                    help="worker threads (default: one per core but one, "
+                         "at most 3)")
     ap.add_argument("--test", action="store_true",
                     help="build and run the ledger tests instead")
     args = ap.parse_args()
@@ -67,7 +68,7 @@ def main():
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
 
-    out = build(["perfbench", "mv3c_serve"])
+    out = build(["perfbench"])
     if out is None:
         print("perfbench: build failed", file=sys.stderr)
         return 1
@@ -80,7 +81,6 @@ def main():
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
         "--out-dir", run_dir,
-        "--serve-bin", os.path.join(out, "mv3c", "src", "server", "mv3c_serve"),
         "--threads", str(args.threads),
     ]
     return subprocess.call(cmd)

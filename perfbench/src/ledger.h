@@ -81,10 +81,10 @@ class BankingLedger {
 
   /// Audits `actual` (balance per account id) against the population
   /// (fee account 0, every customer `initial`) plus the recorded deltas.
-  /// `unit_fee` says every committed transfer paid exactly one cent of fee,
-  /// which makes the fee account exactly countable.
-  Audit Check(const std::vector<int64_t>& actual, int64_t initial,
-              bool unit_fee) const {
+  /// Every committed transfer must have paid exactly one cent of fee (an
+  /// amount under 100 cents), which makes the fee account exactly
+  /// countable.
+  Audit Check(const std::vector<int64_t>& actual, int64_t initial) const {
     Audit a;
     if (actual.size() != delta_.size()) {
       a.rows_off = delta_.size();
@@ -95,8 +95,7 @@ class BankingLedger {
     for (size_t id = 0; id < delta_.size(); ++id) {
       const bool fee_row = id == mv3c::banking::BankingDb::kFeeAccount;
       AuditRow(&a, "account " + std::to_string(id),
-               (fee_row ? 0 : initial) + delta_[id], actual[id],
-               fee_row && unit_fee);
+               (fee_row ? 0 : initial) + delta_[id], actual[id], fee_row);
     }
     return a;
   }

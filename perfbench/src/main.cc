@@ -1,11 +1,10 @@
 // perfbench: the repository benchmark's driver binary. run.py builds it and
 // calls it as
 //
-//   perfbench --workload <banking-hot|tpcc-mix|serve-banking-sync>
-//             --seed <n> --seconds <s> --trace <0|1>
-//             --out-dir <dir> --serve-bin <path to mv3c_serve>
-//             [--threads <n>]   (in-process workers; default one per core,
-//                                at most four)
+//   perfbench --workload <banking-hot|tpcc-mix>
+//             --seed <n> --seconds <s> --trace <0|1> --out-dir <dir>
+//             [--threads <n>]   (worker threads; default one per core
+//                                but one, at most three)
 //
 // The last line of standard output is the run's JSON result; everything
 // else (progress, discrepancies, trace file paths) goes to standard error.
@@ -22,8 +21,8 @@ namespace {
 [[noreturn]] void Usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload W --seed N --seconds S "
-               "--trace 0|1 --out-dir DIR [--serve-bin PATH] [--threads N]\n"
-               "  workloads: banking-hot tpcc-mix serve-banking-sync\n");
+               "--trace 0|1 --out-dir DIR [--threads N]\n"
+               "  workloads: banking-hot tpcc-mix\n");
   std::exit(2);
 }
 
@@ -47,8 +46,6 @@ int main(int argc, char** argv) {
       args.out_dir = v;
     } else if (flag == "--threads") {
       args.threads = std::atoi(v.c_str());
-    } else if (flag == "--serve-bin") {
-      args.serve_bin = v;
     } else {
       Usage();
     }
@@ -62,9 +59,6 @@ int main(int argc, char** argv) {
     rep = perfbench::RunBankingHot(args);
   } else if (args.workload == "tpcc-mix") {
     rep = perfbench::RunTpccMix(args);
-  } else if (args.workload == "serve-banking-sync") {
-    if (args.serve_bin.empty()) Usage();
-    rep = perfbench::RunServeBankingSync(args);
   } else {
     std::fprintf(stderr, "unknown workload: %s\n", args.workload.c_str());
     return 2;

@@ -22,17 +22,12 @@ enum class Layer : uint8_t {
   kBegin,        // Executor::Begin (mvcc start timestamp, active slot)
   kStep,         // Executor::Step (execute/repair + validate + commit)
   kMaintenance,  // TransactionManager::CollectGarbage and queue cleanup
-  kRequest,      // one served request, due to answered
-  kClientSend,   // due to written on the socket (generator lag)
-  kServer,       // written to answered (server, engine, WAL, network)
-  kRecovery,     // wal::Catalog::Recover
   kNumLayers,
 };
 
 inline const char* LayerName(Layer l) {
-  static constexpr const char* kNames[] = {
-      "submit", "begin",  "step",   "maintenance",
-      "request", "client_send", "server", "recovery"};
+  static constexpr const char* kNames[] = {"submit", "begin", "step",
+                                           "maintenance"};
   return kNames[static_cast<int>(l)];
 }
 

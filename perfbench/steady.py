@@ -2,7 +2,7 @@
 """Steadiness tool: run each workload repeatedly and summarise the spread.
 
     python3 perfbench/steady.py --runs 10 --first-seed 1
-    python3 perfbench/steady.py --workloads serve-banking-sync --runs 5 \
+    python3 perfbench/steady.py --workloads tpcc-mix --runs 5 \
         --json set2.json --baseline set1.json
 
 For every metric it prints the median, the first and third quartiles
@@ -10,10 +10,11 @@ For every metric it prints the median, the first and third quartiles
 bound that spread suggests (three times the spread, rounded up to 0.05 and
 capped at 0.25). For each workload it prints the share of failed
 operations of every run; a run that exits non-zero or prints no result is
-reported and left out. With --baseline it also prints how far each median
-moved from that earlier set's, as a share of the earlier median, and flags
-moves in the worse direction larger than the metric's bound in
-BENCHMARK.json.
+reported and left out, and so is one whose result line does not hold
+exactly the metrics BENCHMARK.json declares for its kind, in their units.
+With --baseline it also prints how far each median moved from that earlier
+set's, as a share of the earlier median, and flags moves in the worse
+direction larger than the metric's bound in BENCHMARK.json.
 """
 
 import argparse
@@ -40,6 +41,24 @@ def run_once(workload, seed, seconds, trace):
               file=sys.stderr)
         return None
     return json.loads(lines[-1])
+
+
+def check_line(r, bench, trace):
+    """Why a result line does not match BENCHMARK.json, or "" if it does:
+    exactly the four keys, and every metric of the run's kind in its unit."""
+    if set(r) != {"correct", "attempted", "failed", "metrics"}:
+        return f"result keys {sorted(r)}"
+    if not isinstance(r["attempted"], int) or r["attempted"] < 1:
+        return "attempted is not a positive whole number"
+    want = {m["name"]: m["unit"]
+            for m in bench["per_layer" if trace else "end_to_end"]}
+    got = {k: v.get("unit") for k, v in r["metrics"].items()}
+    if got != want:
+        missing = sorted(set(want) - set(got))
+        extra = sorted(set(got) - set(want))
+        units = sorted(k for k in set(want) & set(got) if want[k] != got[k])
+        return f"metrics differ: missing {missing}, extra {extra}, units {units}"
+    return ""
 
 
 def summarise(values):
@@ -84,6 +103,11 @@ def main():
             seed = args.first_seed + i
             r = run_once(w, seed, seconds, args.trace)
             if r is None:
+                failed_runs += 1
+                continue
+            problem = check_line(r, bench, args.trace)
+            if problem:
+                print(f"{w} seed {seed}: {problem}", file=sys.stderr)
                 failed_runs += 1
                 continue
             results[w].append(r)

@@ -34,14 +34,14 @@ void Expect(bool ok, const std::string& what, const Audit& a) {
 constexpr int64_t kAccounts = 200;
 constexpr int64_t kInitial = 1'000'000;
 
-banking::TransferParams RandomTransfer(Xoshiro256& rng, bool fee) {
+banking::TransferParams RandomTransfer(Xoshiro256& rng) {
   banking::TransferParams p;
   p.from = 1 + static_cast<int64_t>(rng.NextBounded(kAccounts));
   do {
     p.to = 1 + static_cast<int64_t>(rng.NextBounded(kAccounts));
   } while (p.to == p.from);
   p.amount = 1 + static_cast<int64_t>(rng.NextBounded(99));
-  p.with_fee = fee;
+  p.with_fee = true;
   return p;
 }
 
@@ -52,11 +52,11 @@ struct BankingState {
   BankingLedger ledger{kAccounts};
   banking::TransferParams last{};
 
-  BankingState(int n, bool fee, bool omvcc) {
+  BankingState(int n, bool omvcc) {
     db.Load();
     Xoshiro256 rng(7);
     for (int i = 0; i < n; ++i) {
-      last = RandomTransfer(rng, fee);
+      last = RandomTransfer(rng);
       StepResult r;
       if (omvcc) {
         OmvccExecutor e(&mgr);
@@ -84,48 +84,35 @@ struct BankingState {
     });
   }
 
-  Audit Check(bool unit_fee) {
-    return ledger.Check(perfbench::ReadBalances(db), kInitial, unit_fee);
-  }
+  Audit Check() { return ledger.Check(perfbench::ReadBalances(db), kInitial); }
 };
 
 void BankingCorrectStatesAuditClean() {
   for (const bool omvcc : {false, true}) {
-    BankingState s(500, true, omvcc);
-    const Audit a = s.Check(true);
+    BankingState s(500, omvcc);
+    const Audit a = s.Check();
     Expect(a.clean() && s.ledger.commits() == 500,
            std::string("correct banking state, ") + (omvcc ? "omvcc" : "mv3c"),
            a);
   }
-  BankingState fee_free(500, false, false);
-  const Audit a = fee_free.Check(false);
-  Expect(a.clean(), "correct fee-free banking state", a);
 }
 
 void BankingLostFeeIsCountedExactly() {
-  BankingState s(500, true, false);
+  BankingState s(500, false);
   s.Plant(banking::BankingDb::kFeeAccount, -1);
-  const Audit a = s.Check(true);
+  const Audit a = s.Check();
   Expect(a.lost == 1 && a.doubled == 0 && a.rows_off == 0,
          "one lost fee effect counts as one lost update", a);
 }
 
 void BankingDoubledTransferIsCounted() {
-  BankingState s(500, true, false);
+  BankingState s(500, false);
   // The last transfer applied a second time without a committed response.
   Mv3cExecutor e(&s.mgr);
   e.MustRun(banking::Mv3cTransferMoney(s.db, s.last));
-  const Audit a = s.Check(true);
+  const Audit a = s.Check();
   Expect(a.doubled == 1 && a.lost == 0 && a.rows_off == 2,
          "a doubled transfer: one doubled fee, two disagreeing customers", a);
-}
-
-void FeeFreeLostCreditIsCountedPerRow() {
-  BankingState s(500, false, false);
-  s.Plant(17, -42);
-  const Audit a = s.Check(false);
-  Expect(a.rows_off == 1 && a.lost == 0 && a.doubled == 0,
-         "a fee-free ledger counts one disagreeing row", a);
 }
 
 // --- TPC-C ---
@@ -225,7 +212,6 @@ int main() {
       {"BankingCorrectStatesAuditClean", BankingCorrectStatesAuditClean},
       {"BankingLostFeeIsCountedExactly", BankingLostFeeIsCountedExactly},
       {"BankingDoubledTransferIsCounted", BankingDoubledTransferIsCounted},
-      {"FeeFreeLostCreditIsCountedPerRow", FeeFreeLostCreditIsCountedPerRow},
       {"TpccCorrectStateAuditsClean", TpccCorrectStateAuditsClean},
       {"TpccMissingNewOrderIsCounted", TpccMissingNewOrderIsCounted},
       {"TpccDoubledNewOrderIsCounted", TpccDoubledNewOrderIsCounted},
