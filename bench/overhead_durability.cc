@@ -8,8 +8,6 @@
 // bound by construction (one in-flight transaction cannot batch), so it
 // runs a smaller stream and is reported as a latency regime, not a
 // throughput comparison.
-//
-// Only built with -DMV3C_WAL=ON.
 
 #include <filesystem>
 #include <string>

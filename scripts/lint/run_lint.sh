@@ -1,34 +1,28 @@
 #!/usr/bin/env bash
-# Structured lint suite driver (DESIGN §5e/§5j).
-#
-# Prefers the mv3c_analyze libTooling binary (tools/mv3c_analyze — all nine
-# protocol rules, suppressions, per-TU result caching) and falls back to
-# the clang-query AST rules (scripts/lint/rules/*.query — the original five
-# matchers) on machines without clang dev headers. Neither tool available
-# degrades to a no-op unless MV3C_LINT_STRICT=1 (CI sets it), where the
-# gate must never silently skip.
+# Structured lint suite driver (DESIGN §5e/§5j): runs the mv3c_analyze
+# libTooling binary (tools/mv3c_analyze — all nine protocol rules,
+# suppressions, per-TU result caching) over the compilation database. A
+# missing analyzer (no clang dev package) degrades to a no-op unless
+# MV3C_LINT_STRICT=1 (CI sets it), where the gate must never silently skip.
 #
 # Usage: scripts/lint/run_lint.sh [build-dir]
 #   build-dir defaults to `build` and must contain compile_commands.json
 #   (the top-level CMakeLists sets CMAKE_EXPORT_COMPILE_COMMANDS=ON).
 #
 # Environment:
-#   MV3C_LINT_STRICT=1    missing tools are a setup error, not a skip.
-#   MV3C_LINT_FALLBACK=1  force the clang-query path even when the
-#                         analyzer binary exists (CI exercises this leg).
+#   MV3C_LINT_STRICT=1    a missing analyzer is a setup error, not a skip.
 #   MV3C_ANALYZE=path     analyzer binary override (default:
 #                         <build-dir>/tools/mv3c_analyze/mv3c_analyze).
 #   MV3C_LINT_CACHE=dir   analyzer result cache (default:
 #                         <build-dir>/mv3c_analyze_cache).
 #
-# Exit codes: 0 clean (or tools unavailable and MV3C_LINT_STRICT unset),
+# Exit codes: 0 clean (or analyzer unavailable and MV3C_LINT_STRICT unset),
 #             1 rule violation, 2 setup error.
 
 set -u
 
 cd "$(dirname "$0")/../.."
 BUILD_DIR="${1:-build}"
-RULES_DIR="scripts/lint/rules"
 
 if [[ ! -f "${BUILD_DIR}/compile_commands.json" ]]; then
   echo "lint: ${BUILD_DIR}/compile_commands.json not found." >&2
@@ -36,79 +30,23 @@ if [[ ! -f "${BUILD_DIR}/compile_commands.json" ]]; then
   exit 2
 fi
 
-# ---------------------------------------------------------------------------
-# Preferred path: the mv3c_analyze binary.
-# ---------------------------------------------------------------------------
 ANALYZER="${MV3C_ANALYZE:-${BUILD_DIR}/tools/mv3c_analyze/mv3c_analyze}"
-if [[ "${MV3C_LINT_FALLBACK:-0}" == "0" && -x "${ANALYZER}" ]]; then
-  CACHE_DIR="${MV3C_LINT_CACHE:-${BUILD_DIR}/mv3c_analyze_cache}"
-  echo "lint: running ${ANALYZER} (cache: ${CACHE_DIR})"
-  "${ANALYZER}" -p "${BUILD_DIR}" --root "$(pwd)" --cache-dir "${CACHE_DIR}"
-  rc=$?
-  if [[ ${rc} -eq 0 ]]; then
-    echo "lint: ok   mv3c_analyze (all rules clean)"
-  fi
-  exit "${rc}"
-fi
-if [[ "${MV3C_LINT_FALLBACK:-0}" == "0" ]]; then
-  echo "lint: mv3c_analyze not built (${ANALYZER}); falling back to clang-query."
-fi
-
-# ---------------------------------------------------------------------------
-# Fallback path: clang-query over scripts/lint/rules/*.query.
-# ---------------------------------------------------------------------------
-CLANG_QUERY="$(scripts/lint/find_clang_tool.sh clang-query)" || CLANG_QUERY=""
-if [[ -z "${CLANG_QUERY}" ]]; then
+if [[ ! -x "${ANALYZER}" ]]; then
   if [[ "${MV3C_LINT_STRICT:-0}" != "0" ]]; then
-    echo "lint: neither mv3c_analyze nor clang-query available and" \
+    echo "lint: mv3c_analyze not built (${ANALYZER}) and" \
          "MV3C_LINT_STRICT is set." >&2
     exit 2
   fi
-  echo "lint: no lint tool found; skipping AST lint (set" \
-       "MV3C_LINT_STRICT=1 to make this an error)."
+  echo "lint: mv3c_analyze not built (${ANALYZER}); skipping AST lint" \
+       "(set MV3C_LINT_STRICT=1 to make this an error)."
   exit 0
 fi
 
-# Every first-party translation unit in the compilation database. The
-# per-rule file scoping (src/, bench/, exemptions) lives inside the
-# matchers themselves, so headers are covered through whichever TU
-# includes them.
-mapfile -t FILES < <(python3 - "${BUILD_DIR}/compile_commands.json" <<'EOF'
-import json, os, sys
-root = os.getcwd() + os.sep
-seen = []
-for entry in json.load(open(sys.argv[1])):
-    f = os.path.normpath(os.path.join(entry["directory"], entry["file"]))
-    if f.startswith(root) and f not in seen:
-        seen.append(f)
-print("\n".join(seen))
-EOF
-)
-if [[ ${#FILES[@]} -eq 0 ]]; then
-  echo "lint: no first-party files in compilation database?" >&2
-  exit 2
+CACHE_DIR="${MV3C_LINT_CACHE:-${BUILD_DIR}/mv3c_analyze_cache}"
+echo "lint: running ${ANALYZER} (cache: ${CACHE_DIR})"
+"${ANALYZER}" -p "${BUILD_DIR}" --root "$(pwd)" --cache-dir "${CACHE_DIR}"
+rc=$?
+if [[ ${rc} -eq 0 ]]; then
+  echo "lint: ok   mv3c_analyze (all rules clean)"
 fi
-
-FAILED=0
-for rule in "${RULES_DIR}"/*.query; do
-  out="$(${CLANG_QUERY} -p "${BUILD_DIR}" -f "${rule}" "${FILES[@]}" 2>&1)"
-  # A parse/matcher error would report zero matches and read as a clean
-  # pass; surface it as a setup failure instead.
-  if printf '%s\n' "${out}" | grep -qE '(^|/)[^:]*:[0-9]+:[0-9]+: error: |^Error parsing|unknown command'; then
-    echo "lint: ERROR running $(basename "${rule}"):"
-    printf '%s\n' "${out}" | head -40 | sed 's/^/  /'
-    exit 2
-  fi
-  # clang-query prints "N matches." / "1 match." per `match` command; a
-  # violation is any nonzero total.
-  hits="$(printf '%s\n' "${out}" | grep -cE '^.*: note: "root" binds here' || true)"
-  if [[ "${hits}" -gt 0 ]]; then
-    echo "lint: FAIL $(basename "${rule}") — ${hits} match(es):"
-    printf '%s\n' "${out}" | grep -vE '^[0-9]+ match(es)?\.$' | sed 's/^/  /'
-    FAILED=1
-  else
-    echo "lint: ok   $(basename "${rule}")"
-  fi
-done
-
-exit "${FAILED}"
+exit "${rc}"

@@ -37,8 +37,6 @@ class TableBase {
   /// Durability identity: tables registered with a wal::Catalog get a
   /// nonzero stable id that keys their redo records; tables left at
   /// kNoWalId are invisible to the log (their writes are not serialized).
-  /// Plain metadata — compiled in regardless of -DMV3C_WAL so table layout
-  /// does not fork across build modes.
   static constexpr uint32_t kNoWalId = 0;
   uint32_t wal_id() const { return wal_id_; }
   void set_wal_id(uint32_t id) { wal_id_ = id; }

@@ -2,6 +2,8 @@
 #define MV3C_MVCC_TRANSACTION_H_
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -170,41 +172,36 @@ class Transaction {
     // its mask for validation purposes is the union, and columns outside
     // the union are merged from the latest committed version (making
     // partial-column writes compose with concurrent committers).
-    std::vector<std::pair<DataObjectBase*, ColumnMask>> effects;
-    effects.reserve(undo_.size());
-    for (VersionBase* v : undo_) {
-      auto it = std::find_if(effects.begin(), effects.end(),
-                             [v](const auto& e) { return e.first == v->object(); });
-      if (it == effects.end()) {
-        effects.push_back({v->object(), v->modified_columns()});
-      } else {
-        it->second |= v->modified_columns();
-      }
+    //
+    // One forward pass folds each object's masks into a scratch table and
+    // records the undo position of its newest version; the publishing pass
+    // then walks the undo buffer newest-first and looks each object up.
+    // Both are linear; the table is reused across commits.
+    const uint32_t n = static_cast<uint32_t>(undo_.size());
+    ResetPublishTable(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      PublishSlot& s = PublishSlotFor(undo_[i]->object());
+      s.effect |= undo_[i]->modified_columns();
+      s.newest = i;
     }
-    std::vector<DataObjectBase*> seen;
-    seen.reserve(effects.size());
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      VersionBase* v = *it;
-      if (std::find(seen.begin(), seen.end(), v->object()) != seen.end()) {
-        // An older version of an object we already committed the newest
-        // version for: it never becomes visible (Definition 2.2).
+    for (uint32_t i = n; i-- > 0;) {
+      VersionBase* v = undo_[i];
+      const PublishSlot& e = PublishSlotFor(v->object());
+      if (e.newest != i) {
+        // An older version of an object whose newest version this commit
+        // publishes: it never becomes visible (Definition 2.2).
         v->object()->Unlink(v);
         Retire(v);
         continue;
       }
-      seen.push_back(v->object());
-      const ColumnMask effect =
-          std::find_if(effects.begin(), effects.end(),
-                       [v](const auto& e) { return e.first == v->object(); })
-              ->second;
       if (!v->is_insert() && !v->tombstone() &&
-          effect != ColumnMask::All()) {
+          e.effect != ColumnMask::All()) {
         const VersionBase* base = v->object()->LatestCommitted();
         if (base != nullptr && !base->tombstone()) {
-          v->MergeColumnsFrom(*base, effect);
+          v->MergeColumnsFrom(*base, e.effect);
         }
       }
-      v->set_modified_columns(effect);
+      v->set_modified_columns(e.effect);
       VersionBase* committed = v->object()->CommitVersion(v, commit_ts);
       if (committed != v) Retire(v);  // the §2.4.1 move used a clone
       rec->versions.push_back(committed);
@@ -240,7 +237,7 @@ class Transaction {
   }
   void ResetValidationWatermark() { validated_up_to_ = start_ts_; }
 
-  // --- durability hooks (inert pointers/flags when -DMV3C_WAL=OFF) ---
+  // --- durability hooks (inert pointers/flags without a log attached) ---
 
   /// Per-worker WAL staging buffer; the manager's commit path creates one
   /// lazily for this transaction context and reuses it across Begins.
@@ -262,6 +259,35 @@ class Transaction {
  private:
   void RegisterVersion(VersionBase* v) { undo_.push_back(v); }
 
+  /// PublishCommit's scratch: an open-addressed table (linear probing,
+  /// power-of-two size, at least twice the undo length) from object to the
+  /// union of its versions' masks and the undo position of the newest one.
+  struct PublishSlot {
+    const DataObjectBase* object = nullptr;
+    uint32_t newest = 0;
+    ColumnMask effect;
+  };
+
+  void ResetPublishTable(uint32_t n) {
+    size_t slots = 8;
+    while (slots < 2 * size_t{n}) slots <<= 1;
+    publish_.assign(slots, PublishSlot{});
+  }
+
+  /// Fibonacci hashing of the object address (the top log2(size) bits of
+  /// the product); claims an empty slot on a miss.
+  PublishSlot& PublishSlotFor(const DataObjectBase* obj) {
+    const size_t mask = publish_.size() - 1;
+    const int shift = std::countl_zero(publish_.size()) + 1;
+    size_t i = static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(obj) * 0x9E3779B97F4A7C15ull) >> shift);
+    while (publish_[i].object != obj && publish_[i].object != nullptr) {
+      i = (i + 1) & mask;
+    }
+    publish_[i].object = obj;
+    return publish_[i];
+  }
+
   // Defined in transaction_manager.h (needs the manager's GC and clock).
   void Retire(VersionBase* v);
   void MaybeTruncateChain(DataObjectBase* obj);
@@ -272,6 +298,7 @@ class Transaction {
   Timestamp txn_id_ = 0;
   uint32_t slot_ = ~0u;
   std::vector<VersionBase*> undo_;
+  std::vector<PublishSlot> publish_;
   Timestamp validated_up_to_ = 0;
   wal::LogBuffer* wal_buffer_ = nullptr;
   uint64_t wal_epoch_ = 0;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "common/epoch_clock.h"
 #include "common/failpoint.h"
@@ -15,12 +16,7 @@
 #include "mvcc/transaction.h"
 #include "mvcc/version_arena.h"
 #include "obs/metrics.h"
-
-#if defined(MV3C_WAL_ENABLED)
-#include <memory>
-
 #include "wal/log_mvcc.h"
-#endif
 
 namespace mv3c {
 
@@ -352,7 +348,6 @@ class TransactionManager {
   /// The shared epoch counter (commit-TID epochs + WAL flush rounds).
   EpochClock& epoch_clock() { return epoch_clock_; }
 
-#if defined(MV3C_WAL_ENABLED)
   /// Turns on durability: commits of WAL-registered tables serialize their
   /// final write set into the group-commit log (DESIGN §5f), whose flush
   /// rounds advance this manager's epoch clock — redo-block epoch tags and
@@ -365,20 +360,16 @@ class TransactionManager {
   /// Joins the writer thread and closes the log (final flush included).
   void DisableWal() { wal_.reset(); }
   wal::LogManager* wal() { return wal_.get(); }
-#endif
 
   /// Blocks until `t`'s last commit is durable per the configured ack mode
   /// (a shared group-commit wait under sync ack, a no-op under async ack).
-  /// Compiled in every build: without WAL it returns true immediately, so
-  /// executors call it unconditionally. Returns false iff the log crashed
-  /// before the commit became durable.
+  /// Without a log attached it returns true immediately, so executors call
+  /// it unconditionally. Returns false iff the log crashed before the
+  /// commit became durable.
   bool WalWaitDurable(Transaction* t) {
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr && t->wal_epoch() != 0) {
       return wal_->WaitCommitDurable(t->wal_epoch());
     }
-#endif
-    (void)t;
     return true;
   }
 
@@ -474,21 +465,15 @@ class TransactionManager {
 
   /// Serializes a just-published commit into the redo log; caller holds
   /// commit_lock_ (the versions can't be GC'd and the write set is final —
-  /// for MV3C, final *after* repair). Compiles to nothing without WAL.
+  /// for MV3C, final *after* repair). A no-op without a log attached.
   void LogCommitLocked(Transaction* t, const CommittedRecord* rec,
                        Timestamp c) MV3C_REQUIRES(commit_lock_) {
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr) {
       wal::LogBuffer* buf = t->wal_buffer();
       t->set_wal_epoch(
           wal::LogMvccCommit(*wal_, buf, *rec, c, t->wal_repaired()));
       t->set_wal_buffer(buf);
     }
-#else
-    (void)t;
-    (void)rec;
-    (void)c;
-#endif
   }
 
   /// Adopts a fresh start timestamp for a still-registered transaction.
@@ -598,7 +583,6 @@ class TransactionManager {
   obs::MetricsRegistry metrics_;
   VersionArena arena_;
   GarbageCollector gc_;
-#if defined(MV3C_WAL_ENABLED)
   // Last member: the log (and its writer thread) tears down first, before
   // gc_/arena_/metrics_ — the writer owns no version memory but its final
   // flush must not outlive any state a hook could touch. The pointer is
@@ -606,7 +590,6 @@ class TransactionManager {
   // lock-free on the commit path, so it carries no capability annotation.
   // mv3c-lint: allow(guarded_by_coverage)
   std::unique_ptr<wal::LogManager> wal_;
-#endif
 };
 
 // --- Transaction methods that need the manager ---

@@ -34,17 +34,6 @@ namespace obs {
 class MetricsRegistry;
 }
 
-/// Compile-time switch (-DMV3C_ARENA=ON/OFF): when off, every Create/Destroy
-/// below degenerates to plain new/delete — the pre-arena behavior kept
-/// compilable for A/B measurement of allocator churn. These are the ONLY
-/// raw new/delete expressions for versions and committed records in the
-/// codebase (grep-enforced in CI).
-#if defined(MV3C_ARENA_ENABLED)
-inline constexpr bool kVersionArenaEnabled = true;
-#else
-inline constexpr bool kVersionArenaEnabled = false;
-#endif
-
 class VersionArena;
 
 namespace arena_internal {
@@ -116,8 +105,8 @@ static_assert(sizeof(Slab) <= kSlabHeaderBytes,
 ///   slab on a deferred list (a lagging collector), drained by the next
 ///   retirement, DrainDeferred(), or the arena destructor.
 ///
-/// With -DMV3C_ARENA=OFF the class still compiles but Create/Destroy are
-/// plain new/delete and every counter stays zero.
+/// Create/Destroy/CreateSibling are the ONLY allocation paths for versions
+/// and committed records in the codebase (lint-enforced in CI).
 class VersionArena {
  public:
   /// Bound on recycled slabs kept for reuse (4 MiB at 64 KiB slabs);
@@ -157,11 +146,7 @@ class VersionArena {
   /// is valid for every such pointer in the system.
   template <typename T, typename... Args>
   T* Create(Args&&... args) {
-    if constexpr (kVersionArenaEnabled) {
-      return new (AllocateRaw(sizeof(T))) T(std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
+    return new (AllocateRaw(sizeof(T))) T(std::forward<Args>(args)...);
   }
 
   /// Destroys an arena-created object: runs the destructor (virtual
@@ -177,19 +162,15 @@ class VersionArena {
   template <typename T>
   static void Destroy(T* p) {
     if (p == nullptr) return;
-    if constexpr (kVersionArenaEnabled) {
-      arena_internal::Slab* slab = arena_internal::Slab::Of(p);
+    arena_internal::Slab* slab = arena_internal::Slab::Of(p);
 #if defined(MV3C_ARENA_ASAN)
-      const size_t extent = ExtentOf(*p);  // virtual; before the dtor runs
-      p->~T();
-      PoisonRange(p, extent);
+    const size_t extent = ExtentOf(*p);  // virtual; before the dtor runs
+    p->~T();
+    PoisonRange(p, extent);
 #else
-      p->~T();
+    p->~T();
 #endif
-      ReleaseObject(slab);
-    } else {
-      delete p;
-    }
+    ReleaseObject(slab);
   }
 
   /// Allocates a T from the same arena as `sibling` (which must itself be
@@ -199,13 +180,8 @@ class VersionArena {
   /// operation.
   template <typename T, typename... Args>
   static T* CreateSibling(const void* sibling, Args&&... args) {
-    if constexpr (kVersionArenaEnabled) {
-      VersionArena* owner = arena_internal::Slab::Of(sibling)->owner;
-      return owner->Create<T>(std::forward<Args>(args)...);
-    } else {
-      (void)sibling;
-      return new T(std::forward<Args>(args)...);
-    }
+    VersionArena* owner = arena_internal::Slab::Of(sibling)->owner;
+    return owner->Create<T>(std::forward<Args>(args)...);
   }
 
   /// Recycles slabs whose retirement was deferred by the `gc-reclaim`

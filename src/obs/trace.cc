@@ -1,9 +1,6 @@
-// Tracer implementation. Empty translation unit under -DMV3C_OBS=OFF (the
-// obs-off build test greps binaries for these symbols).
+// Tracer implementation.
 
 #include "obs/trace.h"
-
-#if defined(MV3C_OBS_ENABLED)
 
 #include <algorithm>
 #include <cstdlib>
@@ -143,5 +140,3 @@ void DumpTraceIfRequested() {
 }
 
 }  // namespace mv3c::obs
-
-#endif  // MV3C_OBS_ENABLED

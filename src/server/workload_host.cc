@@ -12,16 +12,13 @@
 #include "mvcc/transaction_manager.h"
 #include "obs/engine_stats.h"
 #include "omvcc/omvcc_transaction.h"
+#include "wal/catalog.h"
+#include "wal/log_manager.h"
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
 #include "workloads/trading.h"
-
-#if defined(MV3C_WAL_ENABLED)
-#include "wal/catalog.h"
-#include "wal/log_manager.h"
 #include "workloads/wal_registry.h"
-#endif
 
 namespace mv3c::server {
 namespace {
@@ -62,7 +59,6 @@ template <typename Executor>
 class HostBase : public WorkloadHost {
  public:
   explicit HostBase(const HostOptions& opts) : opts_(opts) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts_.wal) {
       wal::WalConfig cfg;
       cfg.dir = opts_.wal_dir;
@@ -71,7 +67,6 @@ class HostBase : public WorkloadHost {
       cfg.partitions = opts_.wal_partitions;
       mgr_.EnableWal(cfg);
     }
-#endif
     workers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
       workers_.push_back(std::make_unique<Worker>());
@@ -147,12 +142,10 @@ class HostBase : public WorkloadHost {
   void Maintenance() override { mgr_.CollectGarbage(); }
 
   void Shutdown() override {
-#if defined(MV3C_WAL_ENABLED)
     if (opts_.wal && mgr_.wal() != nullptr) {
       mgr_.wal()->FlushNow();
       mgr_.DisableWal();
     }
-#endif
   }
 
  protected:
@@ -183,9 +176,7 @@ class BankingHost final : public HostBase<Executor> {
         db_(&this->mgr_, opts.scale == 0 ? 100000 : static_cast<int64_t>(
                                                         opts.scale),
             /*initial_balance=*/1000) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -212,9 +203,7 @@ class BankingHost final : public HostBase<Executor> {
 
  private:
   banking::BankingDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- trading ---
@@ -226,9 +215,7 @@ class TradingHost final : public HostBase<Executor> {
       : HostBase<Executor>(opts),
         db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale,
             opts.scale == 0 ? 100000 : opts.scale) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -270,9 +257,7 @@ class TradingHost final : public HostBase<Executor> {
 
  private:
   trading::TradingDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- tatp ---
@@ -283,9 +268,7 @@ class TatpHost final : public HostBase<Executor> {
   explicit TatpHost(const HostOptions& opts)
       : HostBase<Executor>(opts),
         db_(&this->mgr_, opts.scale == 0 ? 100000 : opts.scale) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -315,9 +298,7 @@ class TatpHost final : public HostBase<Executor> {
 
  private:
   tatp::TatpDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 // --- tpcc ---
@@ -327,9 +308,7 @@ class TpccHost final : public HostBase<Executor> {
  public:
   explicit TpccHost(const HostOptions& opts)
       : HostBase<Executor>(opts), db_(&this->mgr_, ScaleOf(opts)) {
-#if defined(MV3C_WAL_ENABLED)
     if (opts.wal) RegisterWalTables(cat_, db_);
-#endif
     db_.Load();
   }
 
@@ -369,9 +348,7 @@ class TpccHost final : public HostBase<Executor> {
   }
 
   tpcc::TpccDb db_;
-#if defined(MV3C_WAL_ENABLED)
   wal::Catalog cat_;
-#endif
 };
 
 template <typename Executor>
@@ -395,12 +372,6 @@ std::unique_ptr<WorkloadHost> MakeForEngine(const HostOptions& opts) {
 }  // namespace
 
 std::unique_ptr<WorkloadHost> MakeWorkloadHost(const HostOptions& opts) {
-#if !defined(MV3C_WAL_ENABLED)
-  if (opts.wal) {
-    std::fprintf(stderr, "--wal requires a -DMV3C_WAL=ON build\n");
-    return nullptr;
-  }
-#endif
   if (opts.engine == "mv3c") return MakeForEngine<Mv3cExecutor>(opts);
   if (opts.engine == "omvcc") return MakeForEngine<OmvccExecutor>(opts);
   std::fprintf(stderr, "unknown engine '%s'\n", opts.engine.c_str());

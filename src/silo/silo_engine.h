@@ -7,10 +7,7 @@
 
 #include "obs/metrics.h"
 #include "sv/sv_transaction.h"
-
-#if defined(MV3C_WAL_ENABLED)
 #include "wal/log_sv.h"
-#endif
 
 namespace mv3c {
 
@@ -113,7 +110,6 @@ class SiloEngine {
     // missing commits whose epochs they truncate. Silo TIDs are
     // per-engine, but conflicting transactions always have ordered TIDs
     // (locks/reads propagate max_tid), so TID-sorted replay is correct.
-#if defined(MV3C_WAL_ENABLED)
     if (wal_ != nullptr) {
       const uint64_t e =
           wal::LogSvCommitAndInstall(*wal_, wal_buf_, t, commit_tid);
@@ -121,29 +117,21 @@ class SiloEngine {
     } else {
       sv::InstallWrites(t, commit_tid);  // clears the lock bits
     }
-#else
-    (void)wal_epoch_out;
-    sv::InstallWrites(t, commit_tid);  // clears the lock bits
-#endif
     if (commit_tid_out != nullptr) *commit_tid_out = commit_tid;
     return true;
   }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-#if defined(MV3C_WAL_ENABLED)
   /// Attaches the group-commit log. SILO engines are per-executor, so the
   /// staging buffer is single-writer by construction.
   void set_wal(wal::LogManager* lm) { wal_ = lm; }
-#endif
 
  private:
   uint64_t last_tid_ = 1;  // per-engine-instance (one engine per worker)
   obs::MetricsRegistry metrics_;
-#if defined(MV3C_WAL_ENABLED)
   wal::LogManager* wal_ = nullptr;
   wal::LogBuffer* wal_buf_ = nullptr;
-#endif
 };
 
 }  // namespace mv3c

@@ -13,10 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sv/sv_transaction.h"
-
-#if defined(MV3C_WAL_ENABLED)
 #include "wal/log_manager.h"
-#endif
 
 namespace mv3c {
 
@@ -82,7 +79,6 @@ class SvExecutor {
     if (committed) {
       ++stats_.commits;
       MV3C_TRACE_EVENT(obs::TraceEvent::kCommit, seq_);
-#if defined(MV3C_WAL_ENABLED)
       // Group-commit durability wait (sync ack) — shared with every other
       // transaction in the epoch; a no-op under async ack or when nothing
       // was logged. A false return means the log crashed; the commit is
@@ -90,9 +86,6 @@ class SvExecutor {
       if (wal_ != nullptr && wal_epoch != 0) {
         (void)wal_->WaitCommitDurable(wal_epoch);
       }
-#else
-      (void)wal_epoch;
-#endif
       return StepResult::kCommitted;
     }
     ++stats_.validation_failures;
@@ -143,12 +136,10 @@ class SvExecutor {
   const SvStats& stats() const { return stats_; }
   uint32_t attempts() const { return ctrl_.attempts(); }
 
-#if defined(MV3C_WAL_ENABLED)
   /// Attaches the log for commit-durability waits. The engine must be
   /// attached separately (engine->set_wal) — OCC shares one engine across
   /// executors, so the two lifetimes differ.
   void set_wal(wal::LogManager* lm) { wal_ = lm; }
-#endif
 
  private:
   Engine* engine_;
@@ -162,9 +153,7 @@ class SvExecutor {
   obs::MetricsRegistry* timed_metrics_ = nullptr;
   obs::PhaseSampler sampler_;
   uint64_t seq_ = 0;
-#if defined(MV3C_WAL_ENABLED)
   wal::LogManager* wal_ = nullptr;
-#endif
 };
 
 }  // namespace mv3c

@@ -1,10 +1,6 @@
 #ifndef MV3C_WAL_CATALOG_H_
 #define MV3C_WAL_CATALOG_H_
 
-#if !defined(MV3C_WAL_ENABLED)
-#error "wal/catalog.h requires -DMV3C_WAL=ON (gate the include site)"
-#endif
-
 #include <atomic>
 #include <cstdint>
 #include <cstdio>

@@ -308,7 +308,7 @@ TEST(ChaosSerializabilityTest, SlabRetirementChaosDrainsDeferred) {
     fp::DisarmAll();
     EXPECT_EQ(r.committed + r.user_aborted + r.exhausted, kTxns);
     EXPECT_EQ(db.TotalBalance(), kAccounts * kInitial);
-    if (fp::kEnabled && kVersionArenaEnabled) {
+    if (fp::kEnabled) {
       // The hot schedule must actually have parked slabs at some point.
       EXPECT_GT(mgr.arena().snapshot().retirements_deferred, 0u);
     }

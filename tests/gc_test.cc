@@ -158,22 +158,17 @@ TEST_F(GcTest, SlabRetirementAcrossSlabBoundary) {
   for (int i = 0; i < kRows; ++i) {
     ASSERT_EQ(w.Insert(table_, 1000 + i, Row{i}), WriteStatus::kOk);
   }
-  if (kVersionArenaEnabled) {
-    EXPECT_GE(mgr_.arena().snapshot().slabs_created,
-              before.slabs_created + 2)
-        << "burst must straddle at least one slab boundary";
-  }
+  EXPECT_GE(mgr_.arena().snapshot().slabs_created, before.slabs_created + 2)
+      << "burst must straddle at least one slab boundary";
   w.RollbackWrites();
   mgr_.FinishAborted(&w);
   mgr_.CollectGarbage();
   mgr_.CollectGarbage();  // second pass frees what the first retired
   EXPECT_EQ(mgr_.gc().PendingCount(), 0u);
-  if (kVersionArenaEnabled) {
-    const auto after = mgr_.arena().snapshot();
-    EXPECT_GE(after.frees, before.frees + kRows);
-    EXPECT_GE(after.slabs_retired, before.slabs_retired + 1);
-    EXPECT_EQ(after.deferred_slabs, 0u);
-  }
+  const auto after = mgr_.arena().snapshot();
+  EXPECT_GE(after.frees, before.frees + kRows);
+  EXPECT_GE(after.slabs_retired, before.slabs_retired + 1);
+  EXPECT_EQ(after.deferred_slabs, 0u);
 }
 
 TEST_F(GcTest, LongRunningReaderPinsSlabRetirement) {
@@ -197,21 +192,17 @@ TEST_F(GcTest, LongRunningReaderPinsSlabRetirement) {
   mgr_.CollectGarbage();
   mgr_.CollectGarbage();
   EXPECT_GE(mgr_.gc().PendingCount(), static_cast<size_t>(kRows));
-  if (kVersionArenaEnabled) {
-    const auto mid = mgr_.arena().snapshot();
-    EXPECT_EQ(mid.frees, before.frees) << "reader must pin every version";
-    EXPECT_EQ(mid.slabs_retired, before.slabs_retired)
-        << "pinned versions must pin their slabs";
-  }
+  const auto mid = mgr_.arena().snapshot();
+  EXPECT_EQ(mid.frees, before.frees) << "reader must pin every version";
+  EXPECT_EQ(mid.slabs_retired, before.slabs_retired)
+      << "pinned versions must pin their slabs";
   mgr_.CommitReadOnly(&reader);
   mgr_.CollectGarbage();
   mgr_.CollectGarbage();  // second pass frees what the first retired
   EXPECT_EQ(mgr_.gc().PendingCount(), 0u);
-  if (kVersionArenaEnabled) {
-    const auto after = mgr_.arena().snapshot();
-    EXPECT_GE(after.frees, before.frees + kRows);
-    EXPECT_GE(after.slabs_retired, before.slabs_retired + 1);
-  }
+  const auto after = mgr_.arena().snapshot();
+  EXPECT_GE(after.frees, before.frees + kRows);
+  EXPECT_GE(after.slabs_retired, before.slabs_retired + 1);
 }
 
 TEST_F(GcTest, CollectAllOnQuiescentSystemFreesEverything) {

@@ -202,6 +202,40 @@ TEST_F(MvccCoreTest, OnlyNewestVersionPerObjectSurvivesCommit) {
                 ->data()
                 .balance,
             175);
+
+  // One large transaction writing a few objects many times, each write
+  // with a partial column mask: every object still commits exactly one
+  // version, the newest, carrying the union of its writes' masks.
+  constexpr int kObjects = 4;
+  constexpr int kWrites = 4000;
+  for (int k = 0; k < kObjects; ++k) SeedRow(10 + k, 0);
+  Transaction big(&mgr_);
+  mgr_.Begin(&big);
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_EQ(big.Update(table_, table_.Find(10 + i % kObjects),
+                         AccountRow{i}, ColumnMask::Of(i % (2 * kObjects)),
+                         false, WwPolicy::kFailFast),
+              WriteStatus::kOk);
+  }
+  ASSERT_TRUE(mgr_.TryCommit(&big, [](CommittedRecord*) { return true; }));
+  rec = mgr_.rc_head();
+  ASSERT_EQ(rec->versions.size(), static_cast<size_t>(kObjects));
+  for (const VersionBase* v : rec->versions) {
+    const int k = static_cast<int>(
+        static_cast<const Version<AccountRow>*>(v)->data().balance %
+        kObjects);
+    EXPECT_EQ(static_cast<const Version<AccountRow>*>(v)->data().balance,
+              kWrites - kObjects + k);
+    EXPECT_EQ(v->modified_columns(),
+              ColumnMask::Of(k) | ColumnMask::Of(k + kObjects));
+  }
+  Transaction fresh(&mgr_);
+  mgr_.Begin(&fresh);
+  for (int k = 0; k < kObjects; ++k) {
+    EXPECT_EQ(ReadBalance(fresh, 10 + k), kWrites - kObjects + k);
+    EXPECT_EQ(table_.Find(10 + k)->ChainLength(), 2u);
+  }
+  mgr_.CommitReadOnly(&fresh);
 }
 
 TEST_F(MvccCoreTest, DeleteMakesRowInvisibleAndReinsertWorks) {

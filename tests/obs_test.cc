@@ -1,8 +1,6 @@
 // Tests for the observability layer (src/obs/): histogram bucketing and
 // percentiles, snapshot merging, counter registration, and the per-thread
-// event tracer (wrap-around, drain order). Histogram/tracer internals only
-// exist under -DMV3C_OBS=ON; the snapshot/counter tests run in every build
-// because counters are always on.
+// event tracer (wrap-around, drain order).
 
 #include <gtest/gtest.h>
 
@@ -101,10 +99,8 @@ TEST(HistogramSnapshot, EmptyPercentilesAreZero) {
   EXPECT_EQ(h.MeanNs(), 0.0);
 }
 
-#if defined(MV3C_OBS_ENABLED)
-
 // ---------------------------------------------------------------------------
-// ON-only: LatencyHistogram bucket math and percentile semantics.
+// LatencyHistogram bucket math and percentile semantics.
 
 TEST(LatencyHistogram, BucketBoundaries) {
   // Bucket i holds [2^i, 2^(i+1)); zero lands in bucket 0 with {1}.
@@ -215,7 +211,7 @@ TEST(Tsc, CalibrationIsPositiveAndStable) {
 }
 
 // ---------------------------------------------------------------------------
-// ON-only: tracer ring-buffer semantics.
+// Tracer ring-buffer semantics.
 
 class TracerTest : public ::testing::Test {
  protected:
@@ -297,8 +293,6 @@ TEST_F(TracerTest, EventNamesCoverTheEnum) {
               0u);
   }
 }
-
-#endif  // MV3C_OBS_ENABLED
 
 }  // namespace
 }  // namespace mv3c::obs

@@ -624,7 +624,6 @@ TEST(ServerIntegrationTest, MetricsTextMatchesServerStats) {
   server.Stop();
 }
 
-#if defined(MV3C_WAL_ENABLED)
 TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
   ServerOptions o = SmallBankingOptions();
   o.host.wal = true;
@@ -643,7 +642,6 @@ TEST(ServerIntegrationTest, SyncAckSetsDurableFlag) {
   EXPECT_NE(rs[0].flags & kRespFlagDurable, 0u);
   server.Stop();
 }
-#endif
 
 }  // namespace
 }  // namespace mv3c::server

@@ -1,20 +1,13 @@
 #!/usr/bin/env bash
 # Self-test for the static-analysis gate: plants the violation cases under
 # a src/-shaped path inside the build tree, synthesizes a
-# compile_commands.json, and checks that every rule fires — then checks
-# clean controls produce zero findings. Two engines are exercised:
-#
-#   * mv3c_analyze (tools/mv3c_analyze) — all nine protocol rules, plus
-#     the suppression mechanism (honored + unused-is-an-error) and the
-#     per-TU result cache. Run directly (not via run_lint.sh) so --root
-#     can point at the scratch DB: the planted files live under the build
-#     tree, which the repo-rooted wrapper would scope out.
-#   * clang-query fallback — the original five matcher rules, driven
-#     through run_lint.sh with MV3C_LINT_FALLBACK=1, exactly as a machine
-#     without clang dev headers would run them.
-#
-# Each leg runs iff its tool exists; skips (exit 77) only when BOTH are
-# unavailable.
+# compile_commands.json, and checks that every mv3c_analyze rule fires —
+# then checks clean controls produce zero findings, plus the suppression
+# mechanism (honored + unused-is-an-error) and the per-TU result cache.
+# The analyzer runs directly (not via run_lint.sh) so --root can point at
+# the scratch DB: the planted files live under the build tree, which the
+# repo-rooted wrapper would scope out. Skips (exit 77) when the analyzer
+# is not built (no clang dev package).
 #
 # Usage: lint_selftest.sh <repo-root> <scratch-dir> [analyzer-path]
 
@@ -24,14 +17,8 @@ ROOT="$1"
 SCRATCH="$2"
 ANALYZER="${3:-}"
 
-HAVE_ANALYZER=0
-[[ -n "${ANALYZER}" && -x "${ANALYZER}" ]] && HAVE_ANALYZER=1
-HAVE_QUERY=0
-"${ROOT}/scripts/lint/find_clang_tool.sh" clang-query >/dev/null 2>&1 \
-  && HAVE_QUERY=1
-
-if [[ ${HAVE_ANALYZER} -eq 0 && ${HAVE_QUERY} -eq 0 ]]; then
-  echo "SKIP: neither mv3c_analyze nor clang-query available"
+if [[ -z "${ANALYZER}" || ! -x "${ANALYZER}" ]]; then
+  echo "SKIP: mv3c_analyze not built"
   exit 77
 fi
 
@@ -102,125 +89,81 @@ CLEAN_CASES=(
   server/conn.cc=server_socket_ok.cc
 )
 
-# ---------------------------------------------------------------------------
-# Leg 1: mv3c_analyze (all nine rules + suppressions + cache).
-# ---------------------------------------------------------------------------
-if [[ ${HAVE_ANALYZER} -eq 1 ]]; then
-  run_analyzer() {  # run_analyzer <db> [extra-args...]
-    local db="$1"
-    shift
-    "${ANALYZER}" -p "${db}" --root "${db}" "$@" 2>&1
-  }
+run_analyzer() {  # run_analyzer <db> [extra-args...]
+  local db="$1"
+  shift
+  "${ANALYZER}" -p "${db}" --root "${db}" "$@" 2>&1
+}
 
-  # 1a. Every rule fires on its planted violation — twice, the second run
-  #     served from the per-TU cache (same key, fresh deps), which must
-  #     reproduce the findings rather than absorb them.
-  make_db "${SCRATCH}/violations" "${VIOLATION_CASES[@]}"
-  for pass in cold cached; do
-    OUT="$(run_analyzer "${SCRATCH}/violations" \
-           --cache-dir "${SCRATCH}/violations/.cache")"
-    if [[ $? -ne 1 ]]; then
-      echo "FAIL: analyzer (${pass}) over violations did not exit 1:"
-      printf '%s\n' "${OUT}"
-      FAILED=1
-    fi
-    for rule in no_raw_version_new no_bare_lock_guard no_stats_outside_obs \
-                no_raw_io_outside_wal no_global_ts_counter lock_scope_io \
-                timestamp_discipline guarded_by_coverage atomic_memory_order; do
-      if ! printf '%s\n' "${OUT}" | grep -Fq "[${rule}]"; then
-        echo "FAIL: analyzer (${pass}) — rule ${rule} did not fire:"
-        printf '%s\n' "${OUT}"
-        FAILED=1
-      fi
-    done
-    # The raw-I/O rule must have hit the checkpoint-shaped TU specifically,
-    # not just raw_io.cc — pins the rule's name list to checkpoint.cc's
-    # calls.
-    if ! printf '%s\n' "${OUT}" | grep -q "ckpt_writer.cc"; then
-      echo "FAIL: analyzer (${pass}) missed the checkpoint-shaped raw-I/O TU:"
-      printf '%s\n' "${OUT}"
-      FAILED=1
-    fi
-    # The socket allowlist is per-callee, not per-directory: file I/O in
-    # src/server/ must still fire, and send() outside the allowlisted
-    # paths must fire.
-    if ! printf '%s\n' "${OUT}" | grep -q "server/frame_writer.cc"; then
-      echo "FAIL: analyzer (${pass}) — file I/O in src/server/ did not fire:"
-      printf '%s\n' "${OUT}"
-      FAILED=1
-    fi
-    if ! printf '%s\n' "${OUT}" | grep -q "shadow_socket.cc"; then
-      echo "FAIL: analyzer (${pass}) — send() outside the allowlist did not fire:"
+# (a) Every rule fires on its planted violation — twice, the second run
+#     served from the per-TU cache (same key, fresh deps), which must
+#     reproduce the findings rather than absorb them.
+make_db "${SCRATCH}/violations" "${VIOLATION_CASES[@]}"
+for pass in cold cached; do
+  OUT="$(run_analyzer "${SCRATCH}/violations" \
+         --cache-dir "${SCRATCH}/violations/.cache")"
+  if [[ $? -ne 1 ]]; then
+    echo "FAIL: analyzer (${pass}) over violations did not exit 1:"
+    printf '%s\n' "${OUT}"
+    FAILED=1
+  fi
+  for rule in no_raw_version_new no_bare_lock_guard no_stats_outside_obs \
+              no_raw_io_outside_wal no_global_ts_counter lock_scope_io \
+              timestamp_discipline guarded_by_coverage atomic_memory_order; do
+    if ! printf '%s\n' "${OUT}" | grep -Fq "[${rule}]"; then
+      echo "FAIL: analyzer (${pass}) — rule ${rule} did not fire:"
       printf '%s\n' "${OUT}"
       FAILED=1
     fi
   done
-
-  # 1b. The clean control must produce zero findings.
-  make_db "${SCRATCH}/clean" "${CLEAN_CASES[@]}"
-  if ! OUT="$(run_analyzer "${SCRATCH}/clean" --no-cache)"; then
-    echo "FAIL: analyzer over the clean control reported findings:"
+  # The raw-I/O rule must have hit the checkpoint-shaped TU specifically,
+  # not just raw_io.cc — pins the rule's name list to checkpoint.cc's
+  # calls.
+  if ! printf '%s\n' "${OUT}" | grep -q "ckpt_writer.cc"; then
+    echo "FAIL: analyzer (${pass}) missed the checkpoint-shaped raw-I/O TU:"
     printf '%s\n' "${OUT}"
     FAILED=1
   fi
-
-  # 1c. Suppressions: a `mv3c-lint: allow(...)` comment (both the
-  #     whole-line and trailing spellings) silences a real violation...
-  make_db "${SCRATCH}/suppress_ok" shadow_probe.cc=suppression_ok.cc
-  if ! OUT="$(run_analyzer "${SCRATCH}/suppress_ok" --no-cache)"; then
-    echo "FAIL: honored suppression still reported findings:"
+  # The socket allowlist is per-callee, not per-directory: file I/O in
+  # src/server/ must still fire, and send() outside the allowlisted
+  # paths must fire.
+  if ! printf '%s\n' "${OUT}" | grep -q "server/frame_writer.cc"; then
+    echo "FAIL: analyzer (${pass}) — file I/O in src/server/ did not fire:"
     printf '%s\n' "${OUT}"
     FAILED=1
   fi
-
-  # 1d. ...and a suppression with no violation left is itself an error,
-  #     so stale escapes cannot linger.
-  make_db "${SCRATCH}/suppress_unused" shadow_probe.cc=suppression_unused.cc
-  OUT="$(run_analyzer "${SCRATCH}/suppress_unused" --no-cache)"
-  if [[ $? -ne 1 ]] || ! printf '%s\n' "${OUT}" | grep -qi "unused"; then
-    echo "FAIL: stale suppression was not reported as unused:"
+  if ! printf '%s\n' "${OUT}" | grep -q "shadow_socket.cc"; then
+    echo "FAIL: analyzer (${pass}) — send() outside the allowlist did not fire:"
     printf '%s\n' "${OUT}"
     FAILED=1
   fi
-else
-  echo "note: mv3c_analyze not built; analyzer leg skipped"
+done
+
+# (b) The clean control must produce zero findings.
+make_db "${SCRATCH}/clean" "${CLEAN_CASES[@]}"
+if ! OUT="$(run_analyzer "${SCRATCH}/clean" --no-cache)"; then
+  echo "FAIL: analyzer over the clean control reported findings:"
+  printf '%s\n' "${OUT}"
+  FAILED=1
 fi
 
-# ---------------------------------------------------------------------------
-# Leg 2: clang-query fallback via run_lint.sh (original five rules).
-# ---------------------------------------------------------------------------
-if [[ ${HAVE_QUERY} -eq 1 ]]; then
-  make_db "${SCRATCH}/violations" "${VIOLATION_CASES[@]}"
-  OUT="$(MV3C_LINT_STRICT=1 MV3C_LINT_FALLBACK=1 \
-         "${ROOT}/scripts/lint/run_lint.sh" "${SCRATCH}/violations" 2>&1)"
-  if [[ $? -ne 1 ]]; then
-    echo "FAIL: fallback lint over planted violations did not exit 1:"
-    printf '%s\n' "${OUT}"
-    FAILED=1
-  fi
-  for rule in no_raw_version_new no_stats_outside_obs no_bare_lock_guard \
-              no_raw_io_outside_wal no_global_ts_counter; do
-    if ! printf '%s\n' "${OUT}" | grep -q "FAIL ${rule}"; then
-      echo "FAIL: fallback rule ${rule} did not fire:"
-      printf '%s\n' "${OUT}"
-      FAILED=1
-    fi
-  done
-  if ! printf '%s\n' "${OUT}" | grep -q "ckpt_writer.cc"; then
-    echo "FAIL: fallback missed the checkpoint-shaped raw-I/O TU:"
-    printf '%s\n' "${OUT}"
-    FAILED=1
-  fi
+# (c) Suppressions: a `mv3c-lint: allow(...)` comment (both the
+#     whole-line and trailing spellings) silences a real violation...
+make_db "${SCRATCH}/suppress_ok" shadow_probe.cc=suppression_ok.cc
+if ! OUT="$(run_analyzer "${SCRATCH}/suppress_ok" --no-cache)"; then
+  echo "FAIL: honored suppression still reported findings:"
+  printf '%s\n' "${OUT}"
+  FAILED=1
+fi
 
-  make_db "${SCRATCH}/clean" "${CLEAN_CASES[@]}"
-  if ! OUT="$(MV3C_LINT_STRICT=1 MV3C_LINT_FALLBACK=1 \
-              "${ROOT}/scripts/lint/run_lint.sh" "${SCRATCH}/clean" 2>&1)"; then
-    echo "FAIL: fallback lint over the clean control reported findings:"
-    printf '%s\n' "${OUT}"
-    FAILED=1
-  fi
-else
-  echo "note: clang-query not on PATH; fallback leg skipped"
+# (d) ...and a suppression with no violation left is itself an error,
+#     so stale escapes cannot linger.
+make_db "${SCRATCH}/suppress_unused" shadow_probe.cc=suppression_unused.cc
+OUT="$(run_analyzer "${SCRATCH}/suppress_unused" --no-cache)"
+if [[ $? -ne 1 ]] || ! printf '%s\n' "${OUT}" | grep -qi "unused"; then
+  echo "FAIL: stale suppression was not reported as unused:"
+  printf '%s\n' "${OUT}"
+  FAILED=1
 fi
 
 exit "${FAILED}"

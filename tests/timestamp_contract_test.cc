@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
@@ -24,12 +25,7 @@
 #include "mvcc/timestamp.h"
 #include "mvcc/transaction.h"
 #include "mvcc/transaction_manager.h"
-
-#if defined(MV3C_WAL_ENABLED)
-#include <filesystem>
-
 #include "wal/log_manager.h"
-#endif
 
 namespace mv3c {
 namespace {
@@ -374,7 +370,6 @@ TEST(TimestampContract, TruncationNeverStrandsAReader) {
 
 // --- WAL epoch alignment --------------------------------------------------
 
-#if defined(MV3C_WAL_ENABLED)
 TEST(TimestampContract, CommitTsEpochNeverExceedsRedoTag) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -455,7 +450,6 @@ TEST(TimestampContract, IdleFlushRoundsBurnNoEpochHeadroom) {
   }
   fs::remove_all(dir);
 }
-#endif  // MV3C_WAL_ENABLED
 
 }  // namespace
 }  // namespace mv3c

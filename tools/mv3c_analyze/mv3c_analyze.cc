@@ -1,10 +1,9 @@
 // mv3c_analyze — the project's protocol analyzer (DESIGN §5j).
 //
 // A clang libTooling binary driven by compile_commands.json that enforces
-// the conventions the MV3C repair protocol leans on. It absorbs the five
-// clang-query AST rules (scripts/lint/rules/*.query, kept as the fallback
-// for machines without clang dev headers) and adds four flow/protocol
-// checks a stateless matcher cannot express:
+// the conventions the MV3C repair protocol leans on: five structural AST
+// rules (the first five of kRules below) plus four flow/protocol checks a
+// stateless matcher cannot express:
 //
 //   lock_scope_io        blocking file I/O or system-allocator calls
 //                        lexically inside a SpinLockGuard scope or inside a
@@ -100,8 +99,8 @@ struct RuleInfo {
   const char* summary;
 };
 
-// Order is the reporting order. The first five replicate the clang-query
-// rules byte-for-byte in scope and exemptions; the last four are new.
+// Order is the reporting order: five structural rules, then the four
+// flow/protocol rules.
 const RuleInfo kRules[] = {
     {"no_raw_version_new", "^(src|bench|examples)/",
      "(^|/)mvcc/version_arena\\.(h|cc)$",
@@ -1189,11 +1188,6 @@ llvm::cl::opt<std::string> gRules(
 llvm::cl::opt<bool> gListRules("list-rules",
                                llvm::cl::desc("List rules and exit"),
                                llvm::cl::init(false), llvm::cl::cat(gCategory));
-llvm::cl::opt<bool> gNoUnused(
-    "no-unused-suppression-check",
-    llvm::cl::desc("Do not fail on unused suppressions (for non-default "
-                   "build configurations that compile out annotated code)"),
-    llvm::cl::init(false), llvm::cl::cat(gCategory));
 
 }  // namespace
 
@@ -1346,16 +1340,14 @@ int main(int argc, const char** argv) {
 
   // Unused suppressions (skipped for rules not enabled this run).
   std::vector<const Suppression*> unused;
-  if (!gNoUnused) {
-    for (const auto& [skey, s] : suppressions) {
-      if (used.count(&s)) continue;
-      bool any_enabled = false;
-      for (const std::string& r : s.rules) {
-        const int idx = RuleIndex(r);
-        if (idx >= 0 && (rule_mask & (1u << idx))) any_enabled = true;
-      }
-      if (any_enabled) unused.push_back(&s);
+  for (const auto& [skey, s] : suppressions) {
+    if (used.count(&s)) continue;
+    bool any_enabled = false;
+    for (const std::string& r : s.rules) {
+      const int idx = RuleIndex(r);
+      if (idx >= 0 && (rule_mask & (1u << idx))) any_enabled = true;
     }
+    if (any_enabled) unused.push_back(&s);
   }
 
   const bool failed = !active.empty() || !unused.empty() || failed_tus > 0;

@@ -10,8 +10,12 @@
 // so a damaged log can be inspected in full. For manifests it also prints
 // the implied WAL suffix (the epochs recovery would still replay).
 //
-// Exit status is 0 if every file checked out, 1 otherwise.
+// Exit status is 0 if every file checked out, 1 otherwise (including a
+// path that is not a readable regular file, e.g. the log directory itself).
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -37,17 +41,34 @@ using mv3c::wal::SegmentHeader;
 using mv3c::wal::ValidCkptSegmentHeader;
 using mv3c::wal::ValidSegmentHeader;
 
-bool ReadWholeFile(const char* path, std::vector<uint8_t>* out) {
+/// Reads a regular file whole. Anything else is refused with a reason in
+/// `err`: fopen succeeds on a directory, and seeking it reports a bogus
+/// size, so the file type is checked before any byte is read.
+bool ReadWholeFile(const char* path, std::vector<uint8_t>* out,
+                   std::string* err) {
+  struct stat st;
+  if (stat(path, &st) != 0) {
+    *err = std::strerror(errno);
+    return false;
+  }
+  if (!S_ISREG(st.st_mode)) {
+    *err = "not a regular file";
+    return false;
+  }
   std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(size < 0 ? 0 : static_cast<size_t>(size));
-  const size_t got = out->empty() ? 0 : std::fread(out->data(), 1,
-                                                   out->size(), f);
+  if (f == nullptr) {
+    *err = std::strerror(errno);
+    return false;
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  const size_t got =
+      out->empty() ? 0 : std::fread(out->data(), 1, out->size(), f);
   std::fclose(f);
-  return got == out->size();
+  if (got != out->size()) {
+    *err = "short read";
+    return false;
+  }
+  return true;
 }
 
 void PrintKeyBytes(const uint8_t* key, uint32_t n) {
@@ -278,8 +299,9 @@ bool DumpSegment(const char* path, const std::vector<uint8_t>& buf,
 /// Routes one file to the right dumper by sniffing its magic.
 bool DumpFile(const char* path, bool verbose) {
   std::vector<uint8_t> buf;
-  if (!ReadWholeFile(path, &buf)) {
-    std::printf("%s: unreadable\n", path);
+  std::string err;
+  if (!ReadWholeFile(path, &buf, &err)) {
+    std::fprintf(stderr, "wal_dump: %s: %s\n", path, err.c_str());
     return false;
   }
   if (buf.size() >= 8 &&
