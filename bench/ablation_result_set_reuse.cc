@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       // Start a Bonus scan, let a transfer commit mid-flight, then let the
       // Bonus repair and commit.
       Mv3cExecutor bonus(&mgr);
-      bonus.Reset(banking::Mv3cBonus(db, 300, reuse));
+      bonus.Reset(banking::Bonus<Mv3cExecutor>(db, 300, reuse));
       bonus.Begin();
       Mv3cExecutor w(&mgr);
       w.MustRun(banking::Mv3cTransferMoney(db, gen.Next()));

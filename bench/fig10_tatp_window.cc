@@ -8,6 +8,7 @@
 #include "bench/runners.h"
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -22,8 +23,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"window", "mv3c_tps", "omvcc_tps", "speedup",
                       "mv3c_conflicts", "omvcc_conflicts"});
   for (size_t window : {1, 2, 4, 8, 16, 32, 64}) {
-    const RunResult m = RunTatpMv3c(window, s);
-    const RunResult o = RunTatpOmvcc(window, s);
+    const RunResult m = RunTatp<Mv3cExecutor>(window, s);
+    const RunResult o = RunTatp<OmvccExecutor>(window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds") + m.Counter("ww_restarts")),

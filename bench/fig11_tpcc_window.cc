@@ -6,6 +6,7 @@
 #include "bench/runners.h"
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -24,8 +25,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"window", "mv3c_tps", "omvcc_tps", "speedup",
                       "mv3c_repairs", "omvcc_fails"});
   for (size_t window : {1, 2, 4, 8, 16, 32, 64}) {
-    const RunResult m = RunTpccMv3c(window, s);
-    const RunResult o = RunTpccOmvcc(window, s);
+    const RunResult m = RunTpcc<Mv3cExecutor>(window, s);
+    const RunResult o = RunTpcc<OmvccExecutor>(window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds")),

@@ -10,6 +10,7 @@
 #include "bench/runners.h"
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -25,8 +26,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"concurrency", "mv3c_tps", "omvcc_tps", "speedup",
                       "mv3c_repairs", "omvcc_restarts"});
   for (size_t window : {1, 2, 4, 8, 16, 32}) {
-    const RunResult m = RunTradingMv3c(window, s);
-    const RunResult o = RunTradingOmvcc(window, s);
+    const RunResult m = RunTrading<Mv3cExecutor>(window, s);
+    const RunResult o = RunTrading<OmvccExecutor>(window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds")),

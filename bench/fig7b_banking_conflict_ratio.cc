@@ -8,6 +8,7 @@
 #include "bench/runners.h"
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -21,8 +22,8 @@ int main(int argc, char** argv) {
                       "mv3c_repairs", "omvcc_fails"});
   for (int pct : {0, 20, 40, 60, 80, 100}) {
     s.fee_percent = pct;
-    const RunResult m = RunBankingMv3c(10, s);
-    const RunResult o = RunBankingOmvcc(10, s);
+    const RunResult m = RunBanking<Mv3cExecutor>(10, s);
+    const RunResult o = RunBanking<OmvccExecutor>(10, s);
     table.Row({Fmt(static_cast<uint64_t>(pct)), Fmt(m.Tps(), 0),
                Fmt(o.Tps(), 0), Fmt(m.Tps() / o.Tps(), 2),
                Fmt(m.Counter("repair_rounds")),

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"concurrency", "mv3c_tps", "omvcc_tps", "occ_tps",
                       "silo_tps", "mv3c/omvcc"});
   for (size_t window : {1, 2, 4, 8, 12}) {
-    const RunResult m = RunTpccMv3c(window, s);
-    const RunResult o = RunTpccOmvcc(window, s);
+    const RunResult m = RunTpcc<Mv3cExecutor>(window, s);
+    const RunResult o = RunTpcc<OmvccExecutor>(window, s);
     const RunResult occ = RunTpccSv<OccEngine>(window, s);
     const RunResult silo = RunTpccSv<SiloEngine>(window, s);
     table.Row({Fmt(static_cast<uint64_t>(window)), Fmt(m.Tps(), 0),

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
                       "silo_tps", "mv3c/omvcc"});
   for (uint64_t w : {1, 2, 4, 6, 10}) {
     s.scale.n_warehouses = w;
-    const RunResult m = RunTpccMv3c(10, s);
-    const RunResult o = RunTpccOmvcc(10, s);
+    const RunResult m = RunTpcc<Mv3cExecutor>(10, s);
+    const RunResult o = RunTpcc<OmvccExecutor>(10, s);
     const RunResult occ = RunTpccSv<OccEngine>(10, s);
     const RunResult silo = RunTpccSv<SiloEngine>(10, s);
     table.Row({Fmt(w), Fmt(m.Tps(), 0), Fmt(o.Tps(), 0), Fmt(occ.Tps(), 0),

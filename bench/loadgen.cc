@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/random.h"
 #include "server/admission.h"  // MonotonicNowNs
 #include "server/protocol.h"
@@ -329,57 +330,55 @@ uint64_t Pctl(std::vector<uint64_t>& v, double p) {
   std::exit(2);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 }  // namespace
 }  // namespace mv3c
 
 int main(int argc, char** argv) {
   using namespace mv3c;
+  using flags::DoubleOrExit;
+  using flags::Match;
+  using flags::UintOrExit;
   Options opts;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--host", &v)) {
+    if (Match(a, "--host", &v)) {
       opts.host = v;
-    } else if (ParseFlag(a, "--port", &v)) {
-      opts.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(a, "--workload", &v)) {
+    } else if (Match(a, "--port", &v)) {
+      opts.port = static_cast<uint16_t>(UintOrExit("--port", v, 1, 65535));
+    } else if (Match(a, "--workload", &v)) {
       opts.workload = v;
-    } else if (ParseFlag(a, "--engine", &v)) {
+    } else if (Match(a, "--engine", &v)) {
       opts.engine = v;
-    } else if (ParseFlag(a, "--rate", &v)) {
-      opts.rate = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--seconds", &v)) {
-      opts.seconds = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--warmup-seconds", &v)) {
-      opts.warmup_seconds = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--drain-seconds", &v)) {
-      opts.drain_seconds = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--connections", &v)) {
-      opts.connections = std::strtoul(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--scale", &v)) {
-      opts.scale = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--seed", &v)) {
-      opts.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--trade-order-percent", &v)) {
-      opts.trade_order_percent = std::atoi(v.c_str());
-    } else if (ParseFlag(a, "--alpha", &v)) {
-      opts.alpha = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--fee-percent", &v)) {
-      opts.fee_percent = std::atoi(v.c_str());
+    } else if (Match(a, "--rate", &v)) {
+      opts.rate = DoubleOrExit("--rate", v, 0, 1e9);
+    } else if (Match(a, "--seconds", &v)) {
+      opts.seconds = DoubleOrExit("--seconds", v, 1e-3, 1e6);
+    } else if (Match(a, "--warmup-seconds", &v)) {
+      opts.warmup_seconds = DoubleOrExit("--warmup-seconds", v, 0, 1e6);
+    } else if (Match(a, "--drain-seconds", &v)) {
+      opts.drain_seconds = DoubleOrExit("--drain-seconds", v, 0, 1e6);
+    } else if (Match(a, "--connections", &v)) {
+      // One client thread per connection.
+      opts.connections = UintOrExit("--connections", v, 1, 1024);
+    } else if (Match(a, "--scale", &v)) {
+      opts.scale = UintOrExit("--scale", v, 0, UINT64_MAX);
+    } else if (Match(a, "--seed", &v)) {
+      opts.seed = UintOrExit("--seed", v, 0, UINT64_MAX);
+    } else if (Match(a, "--trade-order-percent", &v)) {
+      opts.trade_order_percent =
+          static_cast<int>(UintOrExit("--trade-order-percent", v, 0, 100));
+    } else if (Match(a, "--alpha", &v)) {
+      opts.alpha = DoubleOrExit("--alpha", v, 0, 1e3);
+    } else if (Match(a, "--fee-percent", &v)) {
+      opts.fee_percent =
+          static_cast<int>(UintOrExit("--fee-percent", v, 0, 100));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       Usage(argv[0]);
     }
   }
   if (opts.port == 0) Usage(argv[0]);
-  if (opts.connections == 0) opts.connections = 1;
   if (opts.workload != "banking" && opts.workload != "trading" &&
       opts.workload != "tatp" && opts.workload != "tpcc") {
     std::fprintf(stderr, "unknown workload: %s\n", opts.workload.c_str());

@@ -22,9 +22,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// RunBankingMv3c with a WAL attached; `ack` selects the commit-path
-/// regime. The log directory is wiped before each run so segment sizes are
-/// comparable.
+/// RunBanking<Mv3cExecutor> with a WAL attached; `ack` selects the
+/// commit-path regime. The log directory is wiped before each run so
+/// segment sizes are comparable.
 RunResult RunBankingMv3cWal(size_t window, const BankingSetup& s,
                             wal::WalConfig::Ack ack, const fs::path& dir,
                             uint32_t partitions = 1) {
@@ -76,6 +76,7 @@ std::string AvgGroupSize(const RunResult& r) {
 }  // namespace mv3c::bench
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
   s.fee_percent = 100;
   s.n_txns = full ? 1000000 : 150000;
 
-  const RunResult off = RunBankingMv3c(10, s);
+  const RunResult off = RunBanking<Mv3cExecutor>(10, s);
   table.Row({"wal-off", Fmt(off.Tps(), 0), "0.00", "-", "-"});
   EmitRunJson("overhead_durability", "mv3c-wal-off", 10, off);
 

@@ -109,8 +109,8 @@ int main() {
   setup.accounts = 100;
   setup.n_txns = full ? 200000 : 20000;
   std::printf("\n# version allocator churn, Banking window 8\n");
-  const RunResult mv3c_run = RunBankingMv3c(/*window=*/8, setup);
-  const RunResult omvcc_run = RunBankingOmvcc(/*window=*/8, setup);
+  const RunResult mv3c_run = RunBanking<Mv3cExecutor>(/*window=*/8, setup);
+  const RunResult omvcc_run = RunBanking<OmvccExecutor>(/*window=*/8, setup);
   PrintArenaJson("mv3c", mv3c_run);
   PrintArenaJson("omvcc", omvcc_run);
   EmitRunJson("overhead_memory", "mv3c", 8, mv3c_run);

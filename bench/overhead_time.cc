@@ -8,6 +8,7 @@
 #include "bench/runners.h"
 
 int main(int argc, char** argv) {
+  using namespace mv3c;
   using namespace mv3c::bench;
   TraceSession trace;
   const bool full = FullRun(argc, argv);
@@ -20,8 +21,8 @@ int main(int argc, char** argv) {
     s.accounts = full ? 100000 : 20000;
     s.fee_percent = 100;
     s.n_txns = full ? 2000000 : 150000;
-    const RunResult m = RunBankingMv3c(1, s);
-    const RunResult o = RunBankingOmvcc(1, s);
+    const RunResult m = RunBanking<Mv3cExecutor>(1, s);
+    const RunResult o = RunBanking<OmvccExecutor>(1, s);
     table.Row({"banking-serial", Fmt(m.Tps(), 0), Fmt(o.Tps(), 0),
                Fmt((o.Tps() / m.Tps() - 1.0) * 100.0, 2)});
     EmitRunJson("overhead_time_banking_serial", "mv3c", 1, m);
@@ -32,8 +33,8 @@ int main(int argc, char** argv) {
     s.accounts = full ? 100000 : 20000;
     s.fee_percent = 0;  // NoFeeTransferMoney: concurrent but conflict-free
     s.n_txns = full ? 2000000 : 150000;
-    const RunResult m = RunBankingMv3c(10, s);
-    const RunResult o = RunBankingOmvcc(10, s);
+    const RunResult m = RunBanking<Mv3cExecutor>(10, s);
+    const RunResult o = RunBanking<OmvccExecutor>(10, s);
     table.Row({"banking-nocf-w10", Fmt(m.Tps(), 0), Fmt(o.Tps(), 0),
                Fmt((o.Tps() / m.Tps() - 1.0) * 100.0, 2)});
     EmitRunJson("overhead_time_banking_nocf", "mv3c", 10, m);
@@ -45,8 +46,8 @@ int main(int argc, char** argv) {
     s.customers = full ? 100000 : 20000;
     s.alpha = 0.0;  // uniform security choice: negligible conflicts
     s.n_txns = full ? 500000 : 30000;
-    const RunResult m = RunTradingMv3c(1, s);
-    const RunResult o = RunTradingOmvcc(1, s);
+    const RunResult m = RunTrading<Mv3cExecutor>(1, s);
+    const RunResult o = RunTrading<OmvccExecutor>(1, s);
     table.Row({"trading-serial", Fmt(m.Tps(), 0), Fmt(o.Tps(), 0),
                Fmt((o.Tps() / m.Tps() - 1.0) * 100.0, 2)});
     EmitRunJson("overhead_time_trading_serial", "mv3c", 1, m);

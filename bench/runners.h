@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -135,6 +136,28 @@ RunResult Drive(size_t window, uint64_t n_txns, MakeExec&& make_exec,
   return out;
 }
 
+/// Replays `n_txns` programs of one MVCC workload through the window
+/// driver on either engine (Executor = Mv3cExecutor, with the §4.3
+/// heuristic, or OmvccExecutor) and attaches the manager's arena
+/// statistics.
+template <typename Executor, typename MakeProgram>
+RunResult DriveMvcc(size_t window, uint64_t n_txns, TransactionManager& mgr,
+                    MakeProgram&& make_program,
+                    std::function<void()> maintenance) {
+  RunResult r = Drive<Executor>(
+      window, n_txns,
+      [&](...) {
+        if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
+          return std::make_unique<Executor>(&mgr, DefaultMv3cConfig());
+        } else {
+          return std::make_unique<Executor>(&mgr);
+        }
+      },
+      make_program, std::move(maintenance));
+  AttachArenaStats(&r, mgr);
+  return r;
+}
+
 // --- Banking (Figures 7a, 7b; overhead) ---
 
 struct BankingSetup {
@@ -145,38 +168,20 @@ struct BankingSetup {
   uint64_t seed = 42;
 };
 
-inline RunResult RunBankingMv3c(size_t window, const BankingSetup& s) {
+template <typename Executor>
+RunResult RunBanking(size_t window, const BankingSetup& s) {
   TransactionManager mgr;
   banking::BankingDb db(&mgr, s.accounts, s.initial_balance);
   db.Load();
   banking::TransferGenerator gen(s.accounts, s.fee_percent, s.seed);
   std::vector<banking::TransferParams> stream(s.n_txns);
   for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
+  return DriveMvcc<Executor>(
+      window, s.n_txns, mgr,
+      [&](uint64_t i) {
+        return banking::TransferMoney<Executor>(db, stream[i]);
       },
-      [&](uint64_t i) { return banking::Mv3cTransferMoney(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunBankingOmvcc(size_t window, const BankingSetup& s) {
-  TransactionManager mgr;
-  banking::BankingDb db(&mgr, s.accounts, s.initial_balance);
-  db.Load();
-  banking::TransferGenerator gen(s.accounts, s.fee_percent, s.seed);
-  std::vector<banking::TransferParams> stream(s.n_txns);
-  for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return banking::OmvccTransferMoney(db, stream[i]); },
-      [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
 }
 
 // --- Trading (Figures 6a, 6b) ---
@@ -190,51 +195,23 @@ struct TradingSetup {
   uint64_t seed = 42;
 };
 
-template <typename MakeExec, typename Executor>
-RunResult RunTradingImpl(size_t window, const TradingSetup& s,
-                         TransactionManager& mgr, trading::TradingDb& db,
-                         MakeExec&& make_exec, bool mv3c) {
+template <typename Executor>
+RunResult RunTrading(size_t window, const TradingSetup& s) {
+  TransactionManager mgr;
+  trading::TradingDb db(&mgr, s.securities, s.customers);
   db.Load();
   trading::TradingGenerator gen(db, s.alpha, s.trade_order_percent, s.seed);
   std::vector<trading::TradingGenerator::Txn> stream(s.n_txns);
   for (auto& t : stream) t = gen.Next();
-  RunResult r = Drive<Executor>(
-      window, s.n_txns, make_exec,
-      [&, mv3c](uint64_t i) -> typename Executor::Program {
+  return DriveMvcc<Executor>(
+      window, s.n_txns, mgr,
+      [&](uint64_t i) {
         const auto& txn = stream[i];
-        if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-          return txn.is_trade_order ? trading::Mv3cTradeOrder(db, txn.order)
-                                    : trading::Mv3cPriceUpdate(db, txn.price);
-        } else {
-          return txn.is_trade_order
-                     ? trading::OmvccTradeOrder(db, txn.order)
-                     : trading::OmvccPriceUpdate(db, txn.price);
-        }
+        return txn.is_trade_order
+                   ? trading::TradeOrder<Executor>(db, txn.order)
+                   : trading::PriceUpdate<Executor>(db, txn.price);
       },
       [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunTradingMv3c(size_t window, const TradingSetup& s) {
-  TransactionManager mgr;
-  trading::TradingDb db(&mgr, s.securities, s.customers);
-  return RunTradingImpl<std::function<std::unique_ptr<Mv3cExecutor>()>,
-                        Mv3cExecutor>(
-      window, s, mgr, db,
-      [&] {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
-      true);
-}
-
-inline RunResult RunTradingOmvcc(size_t window, const TradingSetup& s) {
-  TransactionManager mgr;
-  trading::TradingDb db(&mgr, s.securities, s.customers);
-  return RunTradingImpl<std::function<std::unique_ptr<OmvccExecutor>()>,
-                        OmvccExecutor>(
-      window, s, mgr, db,
-      [&] { return std::make_unique<OmvccExecutor>(&mgr); }, false);
 }
 
 // --- TPC-C (Figures 8a, 8b, 8c, 11) ---
@@ -252,40 +229,19 @@ inline std::vector<tpcc::TpccParams> TpccStream(const TpccSetup& s) {
   return stream;
 }
 
-inline RunResult RunTpccMv3c(size_t window, const TpccSetup& s) {
+template <typename Executor>
+RunResult RunTpcc(size_t window, const TpccSetup& s) {
   TransactionManager mgr;
   tpcc::TpccDb db(&mgr, s.scale);
   db.Load(s.seed);
   const auto stream = TpccStream(s);
-  RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
-      [&](uint64_t i) { return tpcc::Mv3cTpccProgram(db, stream[i]); },
+  return DriveMvcc<Executor>(
+      window, s.n_txns, mgr,
+      [&](uint64_t i) { return tpcc::TpccProgram<Executor>(db, stream[i]); },
       [&] {
         mgr.CollectGarbage();
         db.CleanupNewOrderQueue();
       });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunTpccOmvcc(size_t window, const TpccSetup& s) {
-  TransactionManager mgr;
-  tpcc::TpccDb db(&mgr, s.scale);
-  db.Load(s.seed);
-  const auto stream = TpccStream(s);
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return tpcc::OmvccTpccProgram(db, stream[i]); },
-      [&] {
-        mgr.CollectGarbage();
-        db.CleanupNewOrderQueue();
-      });
-  AttachArenaStats(&r, mgr);
-  return r;
 }
 
 template <typename Engine>
@@ -314,38 +270,18 @@ struct TatpSetup {
   uint64_t seed = 42;
 };
 
-inline RunResult RunTatpMv3c(size_t window, const TatpSetup& s) {
+template <typename Executor>
+RunResult RunTatp(size_t window, const TatpSetup& s) {
   TransactionManager mgr;
   tatp::TatpDb db(&mgr, s.subscribers);
   db.Load(s.seed);
   tatp::TatpGenerator gen(s.subscribers, s.seed);
   std::vector<tatp::TatpParams> stream(s.n_txns);
   for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<Mv3cExecutor>(
-      window, s.n_txns,
-      [&](...) {
-        return std::make_unique<Mv3cExecutor>(&mgr, DefaultMv3cConfig());
-      },
-      [&](uint64_t i) { return tatp::Mv3cTatpProgram(db, stream[i]); },
+  return DriveMvcc<Executor>(
+      window, s.n_txns, mgr,
+      [&](uint64_t i) { return tatp::TatpProgram<Executor>(db, stream[i]); },
       [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
-}
-
-inline RunResult RunTatpOmvcc(size_t window, const TatpSetup& s) {
-  TransactionManager mgr;
-  tatp::TatpDb db(&mgr, s.subscribers);
-  db.Load(s.seed);
-  tatp::TatpGenerator gen(s.subscribers, s.seed);
-  std::vector<tatp::TatpParams> stream(s.n_txns);
-  for (auto& p : stream) p = gen.Next();
-  RunResult r = Drive<OmvccExecutor>(
-      window, s.n_txns,
-      [&](...) { return std::make_unique<OmvccExecutor>(&mgr); },
-      [&](uint64_t i) { return tatp::OmvccTatpProgram(db, stream[i]); },
-      [&] { mgr.CollectGarbage(); });
-  AttachArenaStats(&r, mgr);
-  return r;
 }
 
 }  // namespace mv3c::bench

@@ -37,10 +37,10 @@ int main() {
 
   // --- MV3C ---
   Mv3cExecutor trade(&mgr);
-  trade.Reset(Mv3cTradeOrder(db, order));
+  trade.Reset(TradeOrder<Mv3cExecutor>(db, order));
   trade.Begin();  // snapshot drawn before the price update commits
   Mv3cExecutor pu(&mgr);
-  pu.MustRun(Mv3cPriceUpdate(db, {200, 7777}));
+  pu.MustRun(PriceUpdate<Mv3cExecutor>(db, {200, 7777}));
   StepResult r = trade.Step();
   std::printf("MV3C : first attempt  -> %s\n",
               r == StepResult::kNeedsRetry ? "validation failed" : "commit");
@@ -59,10 +59,10 @@ int main() {
   TradingDb db2(&mgr2, 100000, 1000);
   db2.Load();
   OmvccExecutor trade2(&mgr2);
-  trade2.Reset(OmvccTradeOrder(db2, order));
+  trade2.Reset(TradeOrder<OmvccExecutor>(db2, order));
   trade2.Begin();
   OmvccExecutor pu2(&mgr2);
-  pu2.MustRun(OmvccPriceUpdate(db2, {200, 7777}));
+  pu2.MustRun(PriceUpdate<OmvccExecutor>(db2, {200, 7777}));
   r = trade2.Step();
   std::printf("OMVCC: first attempt  -> %s\n",
               r == StepResult::kNeedsRetry

@@ -178,6 +178,8 @@ const char* Name(Site site) {
       return "ckpt-crash-after-manifest-before-truncate";
     case Site::kCkptFsyncFail:
       return "ckpt-fsync-fail";
+    case Site::kCommitPublish:
+      return "commit-publish";
     case Site::kNumSites:
       break;
   }

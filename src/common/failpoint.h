@@ -76,6 +76,11 @@ enum class Site : uint8_t {
   /// Checkpointer::TakeCheckpoint — firing makes a checkpoint fsync fail;
   /// the checkpoint aborts without publishing (and without truncating).
   kCkptFsyncFail,
+  /// TransactionManager commit path, between linking the new RC record and
+  /// storing the commit high-water mark — delay/yield only; holds the
+  /// window in which lock-free pre-validation already sees a commit that a
+  /// fresh start timestamp does not.
+  kCommitPublish,
 
   kNumSites,
 };

@@ -235,6 +235,9 @@ class Transaction {
   void set_validated_up_to(Timestamp ts) {
     if (ts > validated_up_to_) validated_up_to_ = ts;
   }
+  void ClampValidatedUpTo(Timestamp ts) {
+    if (ts < validated_up_to_) validated_up_to_ = ts;
+  }
   void ResetValidationWatermark() { validated_up_to_ = start_ts_; }
 
   // --- durability hooks (inert pointers/flags without a log attached) ---

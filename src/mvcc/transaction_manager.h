@@ -436,6 +436,10 @@ class TransactionManager {
       rc_head_.store(rec, std::memory_order_release);
       LogCommitLocked(t, rec, c);
     }
+    // Delay/yield injection point: widens the window in which the record
+    // is already reachable from rc_head_ but c is not yet below any fresh
+    // start (RefreshStartTs).
+    (void)MV3C_FAILPOINT(failpoint::Site::kCommitPublish);
     // The hwm store is the publication point (class comment): seq_cst,
     // strictly after the versions and the RC record are in place.
     commit_hwm_.store(c, std::memory_order_seq_cst);
@@ -480,14 +484,20 @@ class TransactionManager {
   /// The slot already holds the old (smaller) start, so no reclaim
   /// watermark can have passed it; the in-place store only raises the
   /// slot's value, which can never shrink a concurrent watermark scan
-  /// below what the transaction needs. A fresh start read after a
-  /// validation failure necessarily exceeds the invalidator's commit
-  /// timestamp (the invalidator published, raising the hwm, before the
-  /// failure was observable).
+  /// below what the transaction needs.
+  ///
+  /// The fresh start need not exceed the invalidator's commit timestamp:
+  /// CommitLocked links its record into the RC list before it stores the
+  /// hwm, so a lock-free pre-validation can see (and mark itself invalid
+  /// against) a commit that `fresh` still cannot read. A repair at `fresh`
+  /// then reads the row as it was before that commit, so the validation
+  /// watermark drops to `fresh - 1`: the next pass re-examines every
+  /// record the fresh start cannot see instead of skipping it.
   void RefreshStartTs(Transaction* t) {
     const Timestamp fresh = commit_hwm_.load(std::memory_order_seq_cst) + 1;
     active_[t->slot()].start.store(fresh, std::memory_order_seq_cst);
     t->OnNewStartTs(fresh);
+    t->ClampValidatedUpTo(fresh - 1);
   }
 
   /// In-critical-section variant (TryCommit's failure path): same body,

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -26,9 +28,12 @@ namespace mv3c {
 /// read-write at validation, or write-write during execution — abort, roll
 /// back, and restart from scratch.
 ///
-/// Programs are straight-line code against this facade: reads return their
-/// results directly (no closures, no dependency information) and writes are
-/// always fail-fast.
+/// Programs are the MV3C DSL programs (mv3c_transaction.h), run inline:
+/// OMVCC is MV3C with repair replaced by restart (§2.3). Each read
+/// registers one flat predicate and calls its closure immediately; nothing
+/// is stored — no graph, no nodes, no closure copies — so the closures run
+/// in program order and every fail-fast abort point stays where a
+/// straight-line program would put it. Writes are always fail-fast.
 class OmvccTransaction {
  public:
   explicit OmvccTransaction(TransactionManager* mgr)
@@ -41,68 +46,55 @@ class OmvccTransaction {
   TransactionManager* manager() const { return mgr_; }
   OmvccStats& stats() { return stats_; }
 
-  /// Point lookup result.
-  template <typename TableT>
-  struct GetResult {
-    typename TableT::Object* object = nullptr;  // nullptr if key unknown
-    const typename TableT::Row* row = nullptr;  // nullptr if absent/deleted
-  };
-
-  /// Point lookup by primary key; registers a key-equality predicate.
-  template <typename TableT>
-  GetResult<TableT> Get(TableT& table, const typename TableT::Key& key,
-                        ColumnMask monitored) {
-    auto* pred = pool_.Create<KeyEqCriterion<TableT>>(&table, key);
-    pred->set_monitored(monitored);
-    predicates_.push_back(pred);
-    GetResult<TableT> r;
-    r.object = table.Find(key);
-    if (r.object != nullptr) {
-      const auto* v = inner_.ReadVersion(table, r.object);
-      if (v != nullptr) r.row = &v->data();
-    }
-    return r;
+  /// Point lookup by primary key; registers a key-equality predicate and
+  /// calls `closure(*this, object, row)` as Mv3cTransaction::Lookup does.
+  template <typename TableT, typename Closure>
+  ExecStatus Lookup(TableT& table, const typename TableT::Key& key,
+                    ColumnMask monitored, Closure&& closure) {
+    Register<KeyEqCriterion<TableT>>(monitored, &table, key);
+    typename TableT::Object* obj = table.Find(key);
+    const auto* v = obj == nullptr ? nullptr : inner_.ReadVersion(table, obj);
+    return closure(*this, obj, v == nullptr ? nullptr : &v->data());
   }
 
   /// Full-table scan with a row filter; registers a filter predicate.
-  template <typename TableT>
-  void Scan(TableT& table,
-            std::function<bool(const typename TableT::Row&)> filter,
-            ColumnMask monitored,
-            std::vector<ScanResultEntry<TableT>>* out) {
-    auto* pred = pool_.Create<RowFilterCriterion<TableT>>(&table, filter);
-    pred->set_monitored(monitored);
-    predicates_.push_back(pred);
-    out->clear();
+  /// OMVCC has no repair, so `reuse_result_set` (§4.2) has nothing to
+  /// reuse and is ignored.
+  template <typename TableT, typename Closure>
+  ExecStatus Scan(TableT& table,
+                  std::function<bool(const typename TableT::Row&)> filter,
+                  ColumnMask monitored, bool /*reuse_result_set*/,
+                  Closure&& closure) {
+    Register<RowFilterCriterion<TableT>>(monitored, &table, filter);
+    std::vector<ScanResultEntry<TableT>> entries;
     table.ForEachObject([&](typename TableT::Object& obj) {
       const auto* v = obj.ReadVisible(inner_.start_ts(), inner_.txn_id());
       if (v != nullptr && filter(v->data())) {
-        out->push_back({&obj, v->data()});
+        entries.push_back({&obj, v->data()});
       }
     });
+    return closure(*this, entries);
   }
 
-  /// Ordered-index range scan; registers a key-range predicate.
-  template <typename TableT, typename IndexT>
-  void RangeScan(
+  /// Ordered-index range scan; registers a key-range predicate. Arguments
+  /// as in Mv3cTransaction::RangeScan.
+  template <typename TableT, typename IndexT, typename Closure>
+  ExecStatus RangeScan(
       TableT& table, const IndexT& index, const typename IndexT::KeyType& lo,
       const typename IndexT::KeyType& hi,
       typename KeyRangeCriterion<TableT, typename IndexT::KeyType>::Extract
           extract,
       std::function<bool(const typename TableT::Row&)> filter,
-      ColumnMask monitored, size_t limit, bool reverse,
-      std::vector<ScanResultEntry<TableT>>* out) {
+      ColumnMask monitored, size_t limit, bool reverse, Closure&& closure) {
     using SecKey = typename IndexT::KeyType;
-    auto* pred = pool_.Create<KeyRangeCriterion<TableT, SecKey>>(
-        &table, lo, hi, extract, filter);
-    pred->set_monitored(monitored);
-    predicates_.push_back(pred);
-    out->clear();
+    Register<KeyRangeCriterion<TableT, SecKey>>(monitored, &table, lo, hi,
+                                                std::move(extract), filter);
+    std::vector<ScanResultEntry<TableT>> entries;
     auto visit = [&](const SecKey&, typename TableT::Object* obj) -> bool {
       const auto* v = obj->ReadVisible(inner_.start_ts(), inner_.txn_id());
       if (v != nullptr && (filter == nullptr || filter(v->data()))) {
-        out->push_back({obj, v->data()});
-        if (limit != 0 && out->size() >= limit) return false;
+        entries.push_back({obj, v->data()});
+        if (limit != 0 && entries.size() >= limit) return false;
       }
       return true;
     };
@@ -111,14 +103,17 @@ class OmvccTransaction {
     } else {
       index.ScanRange(lo, hi, visit);
     }
+    return closure(*this, entries);
   }
 
   /// Update; always fail-fast (OMVCC has no tolerance for multiple
-  /// uncommitted versions, §2.3.1).
+  /// uncommitted versions, §2.3.1), so the MV3C program's `blind` flag and
+  /// per-operation policy are ignored.
   template <typename TableT>
   ExecStatus UpdateRow(TableT& table, typename TableT::Object* obj,
                        const typename TableT::Row& new_data,
-                       ColumnMask modified) {
+                       ColumnMask modified, bool /*blind*/ = false,
+                       std::optional<WwPolicy> /*policy_override*/ = {}) {
     const WriteStatus ws = inner_.Update(table, obj, new_data, modified,
                                          /*blind=*/false,
                                          WwPolicy::kFailFast);
@@ -138,6 +133,23 @@ class OmvccTransaction {
     const WriteStatus ws = inner_.Delete(table, obj);
     return ws == WriteStatus::kWwConflict ? ExecStatus::kWriteWriteConflict
                                           : ExecStatus::kOk;
+  }
+
+  /// OMVCC cannot express a blind write (§2.4.1): it registers the key
+  /// predicate and does a fail-fast read-modify-write, so concurrent blind
+  /// updates of one row conflict here but not in MV3C (§6.1.1). No-op if
+  /// the key has no visible row, as in MV3C.
+  template <typename TableT, typename Setter>
+  ExecStatus BlindUpdate(TableT& table, const typename TableT::Key& key,
+                         ColumnMask modified, Setter&& setter) {
+    return Lookup(table, key, modified,
+                  [&](OmvccTransaction& t, typename TableT::Object* obj,
+                      const typename TableT::Row* row) {
+                    if (row == nullptr) return ExecStatus::kOk;
+                    typename TableT::Row copy = *row;
+                    setter(copy);
+                    return t.UpdateRow(table, obj, copy, modified);
+                  });
   }
 
   // --- lifecycle ---
@@ -186,6 +198,13 @@ class OmvccTransaction {
   size_t PredicateCount() const { return predicates_.size(); }
 
  private:
+  template <typename Criterion, typename... Args>
+  void Register(ColumnMask monitored, Args&&... args) {
+    auto* pred = pool_.Create<Criterion>(std::forward<Args>(args)...);
+    pred->set_monitored(monitored);
+    predicates_.push_back(pred);
+  }
+
   TransactionManager* mgr_;
   Transaction inner_;
   PredicatePool pool_;

@@ -10,25 +10,21 @@
 // integration job parse.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/flags.h"
+#include "mvcc/transaction_manager.h"
 #include "server/server.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(
@@ -38,7 +34,7 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
       "  --engine=mv3c|omvcc                    (default mv3c)\n"
       "  --bind=ADDR          listen address (default 127.0.0.1)\n"
       "  --port=N             listen port; 0 = ephemeral (default 0)\n"
-      "  --workers=N          engine worker threads (default 4)\n"
+      "  --workers=N          engine worker threads, 1..1024 (default 4)\n"
       "  --scale=N            workload population knob (0 = default)\n"
       "  --queue-depth=N      admission queue bound (default 1024)\n"
       "  --batch=N            worker pop batch (default 16)\n"
@@ -57,39 +53,44 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using mv3c::flags::DoubleOrExit;
+  using mv3c::flags::Match;
+  using mv3c::flags::UintOrExit;
+  constexpr uint64_t kU32Max = UINT32_MAX;
   mv3c::server::ServerOptions opts;
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--workload", &v)) {
+    if (Match(a, "--workload", &v)) {
       opts.host.workload = v;
-    } else if (ParseFlag(a, "--engine", &v)) {
+    } else if (Match(a, "--engine", &v)) {
       opts.host.engine = v;
-    } else if (ParseFlag(a, "--bind", &v)) {
+    } else if (Match(a, "--bind", &v)) {
       opts.bind_addr = v;
-    } else if (ParseFlag(a, "--port", &v)) {
-      opts.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(a, "--workers", &v)) {
-      opts.host.workers = std::strtoul(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--scale", &v)) {
-      opts.host.scale = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--queue-depth", &v)) {
-      opts.queue_depth = std::strtoul(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--batch", &v)) {
-      opts.batch = std::strtoul(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--client-rate", &v)) {
-      opts.client_rate = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--client-burst", &v)) {
-      opts.client_burst = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(a, "--round-cap", &v)) {
+    } else if (Match(a, "--port", &v)) {
+      opts.port = static_cast<uint16_t>(UintOrExit("--port", v, 0, 65535));
+    } else if (Match(a, "--workers", &v)) {
+      opts.host.workers = UintOrExit(
+          "--workers", v, 1, mv3c::TransactionManager::kMaxActive);
+    } else if (Match(a, "--scale", &v)) {
+      opts.host.scale = UintOrExit("--scale", v, 0, UINT64_MAX);
+    } else if (Match(a, "--queue-depth", &v)) {
+      opts.queue_depth = UintOrExit("--queue-depth", v, 1, kU32Max);
+    } else if (Match(a, "--batch", &v)) {
+      opts.batch = UintOrExit("--batch", v, 1, kU32Max);
+    } else if (Match(a, "--client-rate", &v)) {
+      opts.client_rate = DoubleOrExit("--client-rate", v, 0, 1e12);
+    } else if (Match(a, "--client-burst", &v)) {
+      opts.client_burst = DoubleOrExit("--client-burst", v, 0, 1e12);
+    } else if (Match(a, "--round-cap", &v)) {
       opts.host.round_cap =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (ParseFlag(a, "--service-delay-us", &v)) {
-      opts.host.service_delay_us =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+          static_cast<uint32_t>(UintOrExit("--round-cap", v, 1, kU32Max));
+    } else if (Match(a, "--service-delay-us", &v)) {
+      opts.host.service_delay_us = static_cast<uint32_t>(
+          UintOrExit("--service-delay-us", v, 0, kU32Max));
     } else if (std::strcmp(a, "--wal") == 0) {
       opts.host.wal = true;
-    } else if (ParseFlag(a, "--ack", &v)) {
+    } else if (Match(a, "--ack", &v)) {
       if (v == "sync") {
         opts.host.sync_ack = true;
       } else if (v == "async") {
@@ -98,11 +99,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--ack must be sync or async\n");
         return 2;
       }
-    } else if (ParseFlag(a, "--wal-dir", &v)) {
+    } else if (Match(a, "--wal-dir", &v)) {
       opts.host.wal_dir = v;
-    } else if (ParseFlag(a, "--wal-partitions", &v)) {
+    } else if (Match(a, "--wal-partitions", &v)) {
+      // 0 = auto; the log caps streams at 64 (wal/log_manager.cc).
       opts.host.wal_partitions =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+          static_cast<uint32_t>(UintOrExit("--wal-partitions", v, 0, 64));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       Usage(argv[0]);

@@ -193,11 +193,7 @@ class BankingHost final : public HostBase<Executor> {
     if (!Accepts(opcode, n)) return false;
     banking::TransferParams p;
     std::memcpy(&p, params, sizeof(p));
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = banking::Mv3cTransferMoney(db_, p);
-    } else {
-      *out = banking::OmvccTransferMoney(db_, p);
-    }
+    *out = banking::TransferMoney<Executor>(db_, p);
     return true;
   }
 
@@ -238,19 +234,11 @@ class TradingHost final : public HostBase<Executor> {
     if (opcode == static_cast<uint16_t>(Op::kTradeOrder)) {
       trading::TradeOrderParams p;
       std::memcpy(&p, params, sizeof(p));
-      if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-        *out = trading::Mv3cTradeOrder(db_, p);
-      } else {
-        *out = trading::OmvccTradeOrder(db_, p);
-      }
+      *out = trading::TradeOrder<Executor>(db_, p);
     } else {
       trading::PriceUpdateParams p;
       std::memcpy(&p, params, sizeof(p));
-      if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-        *out = trading::Mv3cPriceUpdate(db_, p);
-      } else {
-        *out = trading::OmvccPriceUpdate(db_, p);
-      }
+      *out = trading::PriceUpdate<Executor>(db_, p);
     }
     return true;
   }
@@ -288,11 +276,7 @@ class TatpHost final : public HostBase<Executor> {
     // Enum fields crossed the network: bound them before the program
     // switches on them.
     if (p.type > tatp::TxnType::kDeleteCallForwarding) return false;
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = tatp::Mv3cTatpProgram(db_, p);
-    } else {
-      *out = tatp::OmvccTatpProgram(db_, p);
-    }
+    *out = tatp::TatpProgram<Executor>(db_, p);
     return true;
   }
 
@@ -332,11 +316,7 @@ class TpccHost final : public HostBase<Executor> {
     std::memcpy(&p, params, sizeof(p));
     if (p.type > tpcc::TpccTxnType::kStockLevel) return false;
     if (p.ol_cnt > tpcc::kMaxOrderLines) return false;
-    if constexpr (std::is_same_v<Executor, Mv3cExecutor>) {
-      *out = tpcc::Mv3cTpccProgram(db_, p);
-    } else {
-      *out = tpcc::OmvccTpccProgram(db_, p);
-    }
+    *out = tpcc::TpccProgram<Executor>(db_, p);
     return true;
   }
 

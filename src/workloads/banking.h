@@ -127,15 +127,19 @@ inline int64_t FeeOf(const TransferParams& p) {
   return p.amount < 100 ? 1 : p.amount / 100;
 }
 
-/// TransferMoney in the MV3C DSL (paper Figure 3): root predicate P1 on the
-/// sender, child predicates P2 (receiver) and P3 (fee account).
-inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
-                                               TransferParams p) {
-  return [&db, p](Mv3cTransaction& t) -> ExecStatus {
+// Each program is written once in the MV3C DSL and runs on both MVCC
+// engines: `Exec` is Mv3cExecutor or OmvccExecutor, and every closure takes
+// the engine's transaction as `auto& t`.
+
+/// TransferMoney (paper Figure 3): root predicate P1 on the sender, child
+/// predicates P2 (receiver) and P3 (fee account).
+template <typename Exec>
+typename Exec::Program TransferMoney(BankingDb& db, TransferParams p) {
+  return [&db, p](auto& t) -> ExecStatus {
     const int64_t fee = FeeOf(p);
     return t.Lookup(
         db.accounts, p.from, kBalanceMask,
-        [&db, p, fee](Mv3cTransaction& t, AccountTable::Object* fm,
+        [&db, p, fee](auto& t, AccountTable::Object* fm,
                       const AccountRow* fm_row) -> ExecStatus {
           if (fm_row == nullptr || fm_row->balance < p.amount + fee) {
             return ExecStatus::kUserAbort;
@@ -145,7 +149,7 @@ inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
           ExecStatus st = t.UpdateRow(db.accounts, fm, fm_new, kBalanceMask);
           if (st != ExecStatus::kOk) return st;
           st = t.Lookup(db.accounts, p.to, kBalanceMask,
-                        [&db, p](Mv3cTransaction& t, AccountTable::Object* to,
+                        [&db, p](auto& t, AccountTable::Object* to,
                                  const AccountRow* to_row) -> ExecStatus {
                           if (to_row == nullptr) return ExecStatus::kUserAbort;
                           AccountRow to_new = *to_row;
@@ -157,7 +161,7 @@ inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
           if (fee == 0) return ExecStatus::kOk;
           return t.Lookup(
               db.accounts, BankingDb::kFeeAccount, kBalanceMask,
-              [&db, fee](Mv3cTransaction& t, AccountTable::Object* fa,
+              [&db, fee](auto& t, AccountTable::Object* fa,
                          const AccountRow* fa_row) -> ExecStatus {
                 AccountRow fa_new = *fa_row;
                 fa_new.balance += fee;
@@ -167,42 +171,24 @@ inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
   };
 }
 
-/// TransferMoney against the OMVCC baseline (straight-line, Figure 2).
+inline Mv3cExecutor::Program Mv3cTransferMoney(BankingDb& db,
+                                               TransferParams p) {
+  return TransferMoney<Mv3cExecutor>(db, p);
+}
+
 inline OmvccExecutor::Program OmvccTransferMoney(BankingDb& db,
                                                  TransferParams p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    const int64_t fee = FeeOf(p);
-    auto fm = t.Get(db.accounts, p.from, kBalanceMask);
-    if (fm.row == nullptr || fm.row->balance < p.amount + fee) {
-      return ExecStatus::kUserAbort;
-    }
-    AccountRow fm_new = *fm.row;
-    fm_new.balance -= p.amount + fee;
-    ExecStatus st = t.UpdateRow(db.accounts, fm.object, fm_new, kBalanceMask);
-    if (st != ExecStatus::kOk) return st;
-    auto to = t.Get(db.accounts, p.to, kBalanceMask);
-    if (to.row == nullptr) return ExecStatus::kUserAbort;
-    AccountRow to_new = *to.row;
-    to_new.balance += p.amount;
-    st = t.UpdateRow(db.accounts, to.object, to_new, kBalanceMask);
-    if (st != ExecStatus::kOk) return st;
-    if (fee == 0) return ExecStatus::kOk;
-    auto fa = t.Get(db.accounts, BankingDb::kFeeAccount, kBalanceMask);
-    AccountRow fa_new = *fa.row;
-    fa_new.balance += fee;
-    return t.UpdateRow(db.accounts, fa.object, fa_new, kBalanceMask);
-  };
+  return TransferMoney<OmvccExecutor>(db, p);
 }
 
 /// SumAll: read-only scan over every account (paper Example 2).
-inline Mv3cExecutor::Program Mv3cSumAll(BankingDb& db,
-                                        int64_t* out = nullptr) {
-  return [&db, out](Mv3cTransaction& t) {
+template <typename Exec>
+typename Exec::Program SumAll(BankingDb& db, int64_t* out = nullptr) {
+  return [&db, out](auto& t) {
     return t.Scan(
         db.accounts, [](const AccountRow&) { return true; }, kBalanceMask,
         false,
-        [out](Mv3cTransaction&,
-              const std::vector<ScanEntry<AccountTable>>& rs) {
+        [out](auto&, const std::vector<ScanEntry<AccountTable>>& rs) {
           int64_t total = 0;
           for (const auto& e : rs) total += e.row.balance;
           if (out != nullptr) *out = total;
@@ -211,30 +197,17 @@ inline Mv3cExecutor::Program Mv3cSumAll(BankingDb& db,
   };
 }
 
-inline OmvccExecutor::Program OmvccSumAll(BankingDb& db,
-                                          int64_t* out = nullptr) {
-  return [&db, out](OmvccTransaction& t) {
-    std::vector<ScanResultEntry<AccountTable>> rs;
-    t.Scan(
-        db.accounts, [](const AccountRow&) { return true; }, kBalanceMask,
-        &rs);
-    int64_t total = 0;
-    for (const auto& e : rs) total += e.row.balance;
-    if (out != nullptr) *out = total;
-    return ExecStatus::kOk;
-  };
-}
-
 /// Bonus: +1 to every account with balance >= threshold (full scan; the
 /// §4.2 result-set reuse showcase).
-inline Mv3cExecutor::Program Mv3cBonus(BankingDb& db, int64_t threshold,
-                                       bool reuse_result_set) {
-  return [&db, threshold, reuse_result_set](Mv3cTransaction& t) {
+template <typename Exec>
+typename Exec::Program Bonus(BankingDb& db, int64_t threshold,
+                             bool reuse_result_set) {
+  return [&db, threshold, reuse_result_set](auto& t) {
     return t.Scan(
         db.accounts,
         [threshold](const AccountRow& r) { return r.balance >= threshold; },
         kBalanceMask, reuse_result_set,
-        [&db](Mv3cTransaction& t,
+        [&db](auto& t,
               const std::vector<ScanEntry<AccountTable>>& rs) -> ExecStatus {
           for (const auto& e : rs) {
             AccountRow n = e.row;
@@ -245,24 +218,6 @@ inline Mv3cExecutor::Program Mv3cBonus(BankingDb& db, int64_t threshold,
           }
           return ExecStatus::kOk;
         });
-  };
-}
-
-inline OmvccExecutor::Program OmvccBonus(BankingDb& db, int64_t threshold) {
-  return [&db, threshold](OmvccTransaction& t) -> ExecStatus {
-    std::vector<ScanResultEntry<AccountTable>> rs;
-    t.Scan(
-        db.accounts,
-        [threshold](const AccountRow& r) { return r.balance >= threshold; },
-        kBalanceMask, &rs);
-    for (const auto& e : rs) {
-      AccountRow n = e.row;
-      n.balance += 1;
-      const ExecStatus st =
-          t.UpdateRow(db.accounts, e.object, n, kBalanceMask);
-      if (st != ExecStatus::kOk) return st;
-    }
-    return ExecStatus::kOk;
   };
 }
 

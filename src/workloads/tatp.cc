@@ -6,12 +6,13 @@ namespace {
 constexpr ColumnMask kAllCols = ColumnMask::All();
 }  // namespace
 
-Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
+template <typename Exec>
+typename Exec::Program TatpProgram(TatpDb& db, const TatpParams& p) {
   switch (p.type) {
     case TxnType::kGetSubscriberData:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         return t.Lookup(db.subscribers, p.s_id, kAllCols,
-                        [](Mv3cTransaction&, SubscriberTable::Object*,
+                        [](auto&, SubscriberTable::Object*,
                            const SubscriberRow* row) {
                           return row == nullptr ? ExecStatus::kUserAbort
                                                 : ExecStatus::kOk;
@@ -19,12 +20,12 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kGetNewDestination:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         // Read the special facility; if active, probe the call-forwarding
         // slots whose interval covers the query time.
         return t.Lookup(
             db.special_facilities, {p.s_id, p.sf_type}, kAllCols,
-            [&db, p](Mv3cTransaction& t, SpecialFacilityTable::Object*,
+            [&db, p](auto& t, SpecialFacilityTable::Object*,
                      const SpecialFacilityRow* sf) -> ExecStatus {
               if (sf == nullptr || !sf->is_active) {
                 return ExecStatus::kUserAbort;
@@ -34,7 +35,7 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
                 if (start > p.start_time) continue;
                 const ExecStatus st = t.Lookup(
                     db.call_forwarding, {p.s_id, p.sf_type, start}, kAllCols,
-                    [p, &found](Mv3cTransaction&,
+                    [p, &found](auto&,
                                 CallForwardingTable::Object*,
                                 const CallForwardingRow* cf) {
                       if (cf != nullptr && p.start_time < cf->end_time) {
@@ -49,9 +50,9 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kGetAccessData:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         return t.Lookup(db.access_info, {p.s_id, p.ai_type}, kAllCols,
-                        [](Mv3cTransaction&, AccessInfoTable::Object*,
+                        [](auto&, AccessInfoTable::Object*,
                            const AccessInfoRow* row) {
                           return row == nullptr ? ExecStatus::kUserAbort
                                                 : ExecStatus::kOk;
@@ -59,13 +60,13 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kUpdateSubscriberData:
-      return [&db, p](Mv3cTransaction& t) -> ExecStatus {
+      return [&db, p](auto& t) -> ExecStatus {
         // Two logically disjoint paths (paper Figure 1(a)): the subscriber
         // bit update and the special-facility data update repair
         // independently.
         ExecStatus st = t.Lookup(
             db.subscribers, p.s_id, ColumnMask::Of(kColBits),
-            [&db, p](Mv3cTransaction& t, SubscriberTable::Object* obj,
+            [&db, p](auto& t, SubscriberTable::Object* obj,
                      const SubscriberRow* row) -> ExecStatus {
               if (row == nullptr) return ExecStatus::kUserAbort;
               SubscriberRow n = *row;
@@ -77,7 +78,7 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
         return t.Lookup(
             db.special_facilities, {p.s_id, p.sf_type},
             ColumnMask::Of(kColDataA),
-            [&db, p](Mv3cTransaction& t, SpecialFacilityTable::Object* obj,
+            [&db, p](auto& t, SpecialFacilityTable::Object* obj,
                      const SpecialFacilityRow* sf) -> ExecStatus {
               if (sf == nullptr) return ExecStatus::kUserAbort;
               SpecialFacilityRow n = *sf;
@@ -88,7 +89,7 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kUpdateLocation:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         // Blind write (§2.4.1, Appendix C.1): "no conflicts among
         // Update_Location transaction instances in MV3C".
         return t.BlindUpdate(
@@ -98,15 +99,15 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kInsertCallForwarding:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         return t.Lookup(
             db.subscribers, TatpDb::SubNbrOf(p.s_id), kAllCols,
-            [&db, p](Mv3cTransaction& t, SubscriberTable::Object*,
+            [&db, p](auto& t, SubscriberTable::Object*,
                      const SubscriberRow* row) -> ExecStatus {
               if (row == nullptr) return ExecStatus::kUserAbort;
               return t.Lookup(
                   db.special_facilities, {p.s_id, p.sf_type}, kAllCols,
-                  [&db, p](Mv3cTransaction& t,
+                  [&db, p](auto& t,
                            SpecialFacilityTable::Object*,
                            const SpecialFacilityRow* sf) -> ExecStatus {
                     if (sf == nullptr) return ExecStatus::kUserAbort;
@@ -126,10 +127,10 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
       };
 
     case TxnType::kDeleteCallForwarding:
-      return [&db, p](Mv3cTransaction& t) {
+      return [&db, p](auto& t) {
         return t.Lookup(
             db.call_forwarding, {p.s_id, p.sf_type, p.start_time}, kAllCols,
-            [&db](Mv3cTransaction& t, CallForwardingTable::Object* obj,
+            [&db](auto& t, CallForwardingTable::Object* obj,
                   const CallForwardingRow* cf) -> ExecStatus {
               if (cf == nullptr) return ExecStatus::kUserAbort;
               return t.DeleteRow(db.call_forwarding, obj);
@@ -140,100 +141,9 @@ Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p) {
   return nullptr;
 }
 
-OmvccExecutor::Program OmvccTatpProgram(TatpDb& db, const TatpParams& p) {
-  switch (p.type) {
-    case TxnType::kGetSubscriberData:
-      return [&db, p](OmvccTransaction& t) {
-        auto r = t.Get(db.subscribers, p.s_id, kAllCols);
-        return r.row == nullptr ? ExecStatus::kUserAbort : ExecStatus::kOk;
-      };
-
-    case TxnType::kGetNewDestination:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type}, kAllCols);
-        if (sf.row == nullptr || !sf.row->is_active) {
-          return ExecStatus::kUserAbort;
-        }
-        int found = 0;
-        for (uint8_t start : {0, 8, 16}) {
-          if (start > p.start_time) continue;
-          auto cf = t.Get(db.call_forwarding,
-                          CallForwardingKey{p.s_id, p.sf_type, start},
-                          kAllCols);
-          if (cf.row != nullptr && p.start_time < cf.row->end_time) ++found;
-        }
-        return found > 0 ? ExecStatus::kOk : ExecStatus::kUserAbort;
-      };
-
-    case TxnType::kGetAccessData:
-      return [&db, p](OmvccTransaction& t) {
-        auto r = t.Get(db.access_info, AccessInfoKey{p.s_id, p.ai_type},
-                       kAllCols);
-        return r.row == nullptr ? ExecStatus::kUserAbort : ExecStatus::kOk;
-      };
-
-    case TxnType::kUpdateSubscriberData:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sub = t.Get(db.subscribers, p.s_id, ColumnMask::Of(kColBits));
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        SubscriberRow n = *sub.row;
-        n.bits = (n.bits & ~1u) | p.bit;
-        ExecStatus st = t.UpdateRow(db.subscribers, sub.object, n,
-                                    ColumnMask::Of(kColBits));
-        if (st != ExecStatus::kOk) return st;
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type},
-                        ColumnMask::Of(kColDataA));
-        if (sf.row == nullptr) return ExecStatus::kUserAbort;
-        SpecialFacilityRow m = *sf.row;
-        m.data_a = p.data_a;
-        return t.UpdateRow(db.special_facilities, sf.object, m,
-                           ColumnMask::Of(kColDataA));
-      };
-
-    case TxnType::kUpdateLocation:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        // OMVCC cannot express a blind write: read-modify-write with
-        // fail-fast WW detection.
-        auto sub = t.Get(db.subscribers, TatpDb::SubNbrOf(p.s_id),
-                         ColumnMask::Of(kColVlrLocation));
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        SubscriberRow n = *sub.row;
-        n.vlr_location = p.location;
-        return t.UpdateRow(db.subscribers, sub.object, n,
-                           ColumnMask::Of(kColVlrLocation));
-      };
-
-    case TxnType::kInsertCallForwarding:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto sub = t.Get(db.subscribers, TatpDb::SubNbrOf(p.s_id), kAllCols);
-        if (sub.row == nullptr) return ExecStatus::kUserAbort;
-        auto sf = t.Get(db.special_facilities,
-                        SpecialFacilityKey{p.s_id, p.sf_type}, kAllCols);
-        if (sf.row == nullptr) return ExecStatus::kUserAbort;
-        const WriteStatus ws =
-            t.InsertRow(db.call_forwarding,
-                        CallForwardingKey{p.s_id, p.sf_type, p.start_time},
-                        CallForwardingRow{p.numberx, p.end_time});
-        if (ws == WriteStatus::kDuplicateKey) return ExecStatus::kUserAbort;
-        if (ws == WriteStatus::kWwConflict) {
-          return ExecStatus::kWriteWriteConflict;
-        }
-        return ExecStatus::kOk;
-      };
-
-    case TxnType::kDeleteCallForwarding:
-      return [&db, p](OmvccTransaction& t) -> ExecStatus {
-        auto cf = t.Get(db.call_forwarding,
-                        CallForwardingKey{p.s_id, p.sf_type, p.start_time},
-                        kAllCols);
-        if (cf.row == nullptr) return ExecStatus::kUserAbort;
-        return t.DeleteRow(db.call_forwarding, cf.object);
-      };
-  }
-  MV3C_CHECK(false);
-  return nullptr;
-}
+template Mv3cExecutor::Program TatpProgram<Mv3cExecutor>(TatpDb&,
+                                                         const TatpParams&);
+template OmvccExecutor::Program TatpProgram<OmvccExecutor>(
+    TatpDb&, const TatpParams&);
 
 }  // namespace mv3c::tatp

@@ -282,13 +282,12 @@ class TatpGenerator {
   Xoshiro256 rng_;
 };
 
-// --- MV3C programs ---
+// --- programs ---
 
-Mv3cExecutor::Program Mv3cTatpProgram(TatpDb& db, const TatpParams& p);
-
-// --- OMVCC programs ---
-
-OmvccExecutor::Program OmvccTatpProgram(TatpDb& db, const TatpParams& p);
+/// The program of one TATP transaction, written once in the MV3C DSL for
+/// both MVCC engines (`Exec` is Mv3cExecutor or OmvccExecutor).
+template <typename Exec>
+typename Exec::Program TatpProgram(TatpDb& db, const TatpParams& p);
 
 }  // namespace mv3c::tatp
 

@@ -256,7 +256,7 @@ TpccParams TpccGenerator::Next() {
 }
 
 // ---------------------------------------------------------------------------
-// MV3C programs
+// Transaction programs (one DSL body each, for both MVCC engines)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -268,27 +268,27 @@ size_t MiddleIndex(const Entries& entries) {
   return (entries.size() + 1) / 2 - 1;
 }
 
-// The MV3C program bodies receive the transaction parameters by POINTER:
+// The program bodies receive the transaction parameters by POINTER:
 // the pointee is the copy owned by the program std::function, which lives
 // across every repair round and restart, so closures capture 8 bytes
 // instead of re-copying the ~0.5 KB parameter block at each nesting level
 // (§6.2's low overhead depends on cheap closure captures).
 
-ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
-                            const TpccParams* p) {
+template <typename Txn>
+ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
   // Nesting: warehouse ⊃ customer ⊃ district ⊃ (per item: item ⊃ stock).
   // The hot repairable conflicts (stock updates) sit at the innermost
   // level; the district bump's ORDER/NEW-ORDER key collisions fail fast.
   return t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWTax),
-      [&db, p](Mv3cTransaction& t, WarehouseTable::Object*,
+      [&db, p](auto& t, WarehouseTable::Object*,
                const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         const int32_t w_tax = w->tax;
         return t.Lookup(
             db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
             ColumnMask::Of(kColCInfo),
-            [&db, p, w_tax](Mv3cTransaction& t, CustomerTable::Object*,
+            [&db, p, w_tax](auto& t, CustomerTable::Object*,
                             const CustomerRow* c) -> ExecStatus {
               if (c == nullptr) return ExecStatus::kUserAbort;
               const int32_t c_disc = c->discount;
@@ -296,7 +296,7 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                   db.districts, DistrictKey(p->w_id, p->d_id),
                   ColumnMask::Of(kColDTax) | ColumnMask::Of(kColDNextOid),
                   [&db, p, w_tax, c_disc](
-                      Mv3cTransaction& t, DistrictTable::Object* dobj,
+                      auto& t, DistrictTable::Object* dobj,
                       const DistrictRow* d) -> ExecStatus {
                     if (d == nullptr) return ExecStatus::kUserAbort;
                     const uint64_t o_id = d->next_o_id;
@@ -345,7 +345,7 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                       st = t.Lookup(
                           db.items, p->items[i].i_id, kAllCols,
                           [&db, p, w_tax, c_disc, o_id, ol_number](
-                              Mv3cTransaction& t, ItemTable::Object*,
+                              auto& t, ItemTable::Object*,
                               const ItemRow* item) -> ExecStatus {
                             if (item == nullptr) {
                               return ExecStatus::kUserAbort;  // 1% rule
@@ -357,7 +357,7 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
                                 ColumnMask::Of(kColSQuantity),
                                 [&db, p, w_tax, c_disc, o_id, price,
                                  ol_number](
-                                    Mv3cTransaction& t,
+                                    auto& t,
                                     StockTable::Object* sobj,
                                     const StockRow* s) -> ExecStatus {
                                   if (s == nullptr) {
@@ -413,14 +413,14 @@ ExecStatus Mv3cNewOrderBody(Mv3cTransaction& t, TpccDb& db,
       });
 }
 
-ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
-                           const TpccParams* p) {
+template <typename Txn>
+ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
   // Three independent roots (disjoint failure units, Figure 1(a)): the
   // warehouse YTD bump, the district YTD bump, and the customer payment
   // (with the HISTORY insert nested under the customer).
   ExecStatus st = t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWYtd),
-      [&db, p](Mv3cTransaction& t, WarehouseTable::Object* wobj,
+      [&db, p](auto& t, WarehouseTable::Object* wobj,
                const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         WarehouseRow wn = *w;
@@ -431,7 +431,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
   if (st != ExecStatus::kOk) return st;
   st = t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id), ColumnMask::Of(kColDYtd),
-      [&db, p](Mv3cTransaction& t, DistrictTable::Object* dobj,
+      [&db, p](auto& t, DistrictTable::Object* dobj,
                const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         DistrictRow dn = *d;
@@ -440,7 +440,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
       });
   if (st != ExecStatus::kOk) return st;
 
-  auto pay_customer = [&db, p](Mv3cTransaction& t,
+  auto pay_customer = [&db, p](auto& t,
                                CustomerTable::Object* cobj,
                                const CustomerRow& c,
                                uint64_t c_key) -> ExecStatus {
@@ -480,7 +480,7 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
         },
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
-        [pay_customer](Mv3cTransaction& t,
+        [pay_customer](auto& t,
                        const std::vector<ScanEntry<CustomerTable>>& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
@@ -492,23 +492,23 @@ ExecStatus Mv3cPaymentBody(Mv3cTransaction& t, TpccDb& db,
   return t.Lookup(
       db.customers, c_key,
       ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance),
-      [pay_customer, c_key](Mv3cTransaction& t, CustomerTable::Object* obj,
+      [pay_customer, c_key](auto& t, CustomerTable::Object* obj,
                             const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return pay_customer(t, obj, *c, c_key);
       });
 }
 
-ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
-                               const TpccParams* p) {
-  auto status_of = [&db, p](Mv3cTransaction& t, uint64_t c_id) -> ExecStatus {
+template <typename Txn>
+ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
+  auto status_of = [&db, p](auto& t, uint64_t c_id) -> ExecStatus {
     return t.RangeScan(
         db.orders, db.orders_by_customer,
         CustomerOrderKey(p->w_id, p->d_id, c_id, 0),
         CustomerOrderKey(p->w_id, p->d_id, c_id, kMaxOrdersPerD - 1),
         [](const uint64_t& key, const OrderRow&) { return key; }, nullptr,
         ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo), 1, true,
-        [&db, p](Mv3cTransaction& t,
+        [&db, p](auto& t,
                  const std::vector<ScanEntry<OrderTable>>& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const uint64_t o_id = rs[0].object->key() % kMaxOrdersPerD;
@@ -518,7 +518,7 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
               OrderLineKey(p->w_id, p->d_id, o_id, kMaxOrderLines - 1),
               [](const uint64_t& key, const OrderLineRow&) { return key; },
               nullptr, ColumnMask::Of(kColOlInfo), 0, false,
-              [](Mv3cTransaction&,
+              [](auto&,
                  const std::vector<ScanEntry<OrderLineTable>>& lines)
                   -> ExecStatus {
                 int64_t total = 0;
@@ -540,7 +540,7 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
         },
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
-        [status_of](Mv3cTransaction& t,
+        [status_of](auto& t,
                     const std::vector<ScanEntry<CustomerTable>>& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
@@ -551,22 +551,22 @@ ExecStatus Mv3cOrderStatusBody(Mv3cTransaction& t, TpccDb& db,
   return t.Lookup(
       db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
       ColumnMask::Of(kColCBalance),
-      [p, status_of](Mv3cTransaction& t, CustomerTable::Object*,
+      [p, status_of](auto& t, CustomerTable::Object*,
                      const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return status_of(t, p->c_id);
       });
 }
 
-ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
-                            const TpccParams* p) {
+template <typename Txn>
+ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
   for (uint64_t d = 1; d <= db.scale().n_districts; ++d) {
     const ExecStatus st = t.RangeScan(
         db.new_orders, db.new_order_queue, OrderKey(p->w_id, d, 0),
         OrderKey(p->w_id, d, kMaxOrdersPerD - 1),
         [](const uint64_t& key, const NewOrderRow&) { return key; }, nullptr,
         kAllCols, 1, false,
-        [&db, p, d](Mv3cTransaction& t,
+        [&db, p, d](auto& t,
                     const std::vector<ScanEntry<NewOrderTable>>& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kOk;  // nothing to deliver
@@ -578,7 +578,7 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
           return t.Lookup(
               db.orders, okey,
               ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo),
-              [&db, p, d, o_id](Mv3cTransaction& t, OrderTable::Object* oobj,
+              [&db, p, d, o_id](auto& t, OrderTable::Object* oobj,
                                 const OrderRow* o) -> ExecStatus {
                 if (o == nullptr) return ExecStatus::kUserAbort;
                 OrderRow on = *o;
@@ -599,7 +599,7 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
                         ColumnMask::Of(kColOlInfo),
                     0, false,
                     [&db, p, d, c_id](
-                        Mv3cTransaction& t,
+                        auto& t,
                         const std::vector<ScanEntry<OrderLineTable>>& lines)
                         -> ExecStatus {
                       int64_t total = 0;
@@ -615,7 +615,7 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
                       return t.Lookup(
                           db.customers, CustomerKey(p->w_id, d, c_id),
                           ColumnMask::Of(kColCBalance),
-                          [&db, total](Mv3cTransaction& t,
+                          [&db, total](auto& t,
                                        CustomerTable::Object* cobj,
                                        const CustomerRow* c) -> ExecStatus {
                             if (c == nullptr) {
@@ -635,12 +635,12 @@ ExecStatus Mv3cDeliveryBody(Mv3cTransaction& t, TpccDb& db,
   return ExecStatus::kOk;
 }
 
-ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
-                              const TpccParams* p) {
+template <typename Txn>
+ExecStatus StockLevelBody(Txn& t, TpccDb& db, const TpccParams* p) {
   return t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id),
       ColumnMask::Of(kColDNextOid),
-      [&db, p](Mv3cTransaction& t, DistrictTable::Object*,
+      [&db, p](auto& t, DistrictTable::Object*,
                const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         const uint64_t next_o = d->next_o_id;
@@ -651,7 +651,7 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
             OrderLineKey(p->w_id, p->d_id, next_o - 1, kMaxOrderLines - 1),
             [](const uint64_t& key, const OrderLineRow&) { return key; },
             nullptr, ColumnMask::Of(kColOlInfo), 0, false,
-            [&db, p](Mv3cTransaction& t,
+            [&db, p](auto& t,
                      const std::vector<ScanEntry<OrderLineTable>>& lines)
                 -> ExecStatus {
               std::vector<uint64_t> seen;
@@ -665,7 +665,7 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
                 const ExecStatus st = t.Lookup(
                     db.stock, StockKey(p->w_id, i_id),
                     ColumnMask::Of(kColSQuantity),
-                    [p, &low_stock](Mv3cTransaction&, StockTable::Object*,
+                    [p, &low_stock](auto&, StockTable::Object*,
                                     const StockRow* s) -> ExecStatus {
                       if (s != nullptr && s->quantity < p->threshold) {
                         ++low_stock;
@@ -681,330 +681,33 @@ ExecStatus Mv3cStockLevelBody(Mv3cTransaction& t, TpccDb& db,
 
 }  // namespace
 
-Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p) {
+template <typename Exec>
+typename Exec::Program TpccProgram(TpccDb& db, const TpccParams& p) {
   // The program lambda owns the parameter copy; closures built by the
   // bodies capture a pointer to it, which stays valid across repair rounds
   // and restarts (the std::function outlives the transaction attempt).
-  return [&db, p](Mv3cTransaction& t) -> ExecStatus {
+  return [&db, p](auto& t) -> ExecStatus {
     switch (p.type) {
       case TpccTxnType::kNewOrder:
-        return Mv3cNewOrderBody(t, db, &p);
+        return NewOrderBody(t, db, &p);
       case TpccTxnType::kPayment:
-        return Mv3cPaymentBody(t, db, &p);
+        return PaymentBody(t, db, &p);
       case TpccTxnType::kOrderStatus:
-        return Mv3cOrderStatusBody(t, db, &p);
+        return OrderStatusBody(t, db, &p);
       case TpccTxnType::kDelivery:
-        return Mv3cDeliveryBody(t, db, &p);
+        return DeliveryBody(t, db, &p);
       case TpccTxnType::kStockLevel:
-        return Mv3cStockLevelBody(t, db, &p);
+        return StockLevelBody(t, db, &p);
     }
     MV3C_CHECK(false);
     return ExecStatus::kUserAbort;
   };
 }
 
-// ---------------------------------------------------------------------------
-// OMVCC programs (straight-line equivalents)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-OmvccExecutor::Program OmvccNewOrder(TpccDb& db, const TpccParams& p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    auto w = t.Get(db.warehouses, p.w_id, ColumnMask::Of(kColWTax));
-    if (w.row == nullptr) return ExecStatus::kUserAbort;
-    const int32_t w_tax = w.row->tax;
-    auto c = t.Get(db.customers, CustomerKey(p.w_id, p.d_id, p.c_id),
-                   ColumnMask::Of(kColCInfo));
-    if (c.row == nullptr) return ExecStatus::kUserAbort;
-    const int32_t c_disc = c.row->discount;
-    auto d = t.Get(db.districts, DistrictKey(p.w_id, p.d_id),
-                   ColumnMask::Of(kColDTax) | ColumnMask::Of(kColDNextOid));
-    if (d.row == nullptr) return ExecStatus::kUserAbort;
-    const uint64_t o_id = d.row->next_o_id;
-    DistrictRow dn = *d.row;
-    dn.next_o_id = static_cast<uint32_t>(o_id + 1);
-    ExecStatus st = t.UpdateRow(db.districts, d.object, dn,
-                                ColumnMask::Of(kColDNextOid));
-    if (st != ExecStatus::kOk) return st;
-    OrderRow orow;
-    orow.c_id = p.c_id;
-    orow.entry_d = p.date;
-    orow.ol_cnt = p.ol_cnt;
-    const uint64_t okey = OrderKey(p.w_id, p.d_id, o_id);
-    OrderTable::Object* oobj = nullptr;
-    if (t.InsertRow(db.orders, okey, orow, &oobj) != WriteStatus::kOk) {
-      return ExecStatus::kWriteWriteConflict;
-    }
-    // Duplicate is expected on a repair/restart round: the same o_id
-    // re-inserts the same arena-stable object.
-    (void)db.orders_by_customer.Insert(
-        CustomerOrderKey(p.w_id, p.d_id, p.c_id, o_id), oobj);
-    NewOrderTable::Object* nobj = nullptr;
-    if (t.InsertRow(db.new_orders, okey, NewOrderRow{}, &nobj) !=
-        WriteStatus::kOk) {
-      return ExecStatus::kWriteWriteConflict;
-    }
-    (void)db.new_order_queue.Insert(okey, nobj);
-    for (uint8_t i = 0; i < p.ol_cnt; ++i) {
-      const NewOrderItem it = p.items[i];
-      auto item = t.Get(db.items, it.i_id, kAllCols);
-      if (item.row == nullptr) return ExecStatus::kUserAbort;  // 1% rule
-      auto s = t.Get(db.stock, StockKey(it.supply_w, it.i_id),
-                     ColumnMask::Of(kColSQuantity));
-      if (s.row == nullptr) return ExecStatus::kUserAbort;
-      StockRow sn = *s.row;
-      if (sn.quantity - it.quantity >= 10) {
-        sn.quantity -= it.quantity;
-      } else {
-        sn.quantity += 91 - it.quantity;
-      }
-      sn.ytd += it.quantity;
-      sn.order_cnt += 1;
-      if (it.supply_w != p.w_id) sn.remote_cnt += 1;
-      st = t.UpdateRow(
-          db.stock, s.object, sn,
-          ColumnMask::Of(kColSQuantity) | ColumnMask::Of(kColSCounts));
-      if (st != ExecStatus::kOk) return st;
-      OrderLineRow ol;
-      ol.i_id = it.i_id;
-      ol.supply_w_id = it.supply_w;
-      ol.quantity = it.quantity;
-      ol.amount = it.quantity * item.row->price * (10000 + w_tax) / 10000 *
-                  (10000 - c_disc) / 10000;
-      std::memcpy(ol.dist_info, s.row->dist[p.d_id - 1],
-                  sizeof(ol.dist_info));
-      const uint64_t lkey = OrderLineKey(p.w_id, p.d_id, o_id, i + 1);
-      OrderLineTable::Object* lobj = nullptr;
-      if (t.InsertRow(db.order_lines, lkey, ol, &lobj) != WriteStatus::kOk) {
-        return ExecStatus::kWriteWriteConflict;
-      }
-      (void)db.order_lines_by_district.Insert(lkey, lobj);
-    }
-    return ExecStatus::kOk;
-  };
-}
-
-OmvccExecutor::Program OmvccPayment(TpccDb& db, const TpccParams& p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    auto w = t.Get(db.warehouses, p.w_id, ColumnMask::Of(kColWYtd));
-    if (w.row == nullptr) return ExecStatus::kUserAbort;
-    WarehouseRow wn = *w.row;
-    wn.ytd += p.amount;
-    ExecStatus st = t.UpdateRow(db.warehouses, w.object, wn,
-                                ColumnMask::Of(kColWYtd));
-    if (st != ExecStatus::kOk) return st;
-    auto d = t.Get(db.districts, DistrictKey(p.w_id, p.d_id),
-                   ColumnMask::Of(kColDYtd));
-    if (d.row == nullptr) return ExecStatus::kUserAbort;
-    DistrictRow dn = *d.row;
-    dn.ytd += p.amount;
-    st = t.UpdateRow(db.districts, d.object, dn, ColumnMask::Of(kColDYtd));
-    if (st != ExecStatus::kOk) return st;
-
-    CustomerTable::Object* cobj = nullptr;
-    CustomerRow cn;
-    if (p.by_last_name) {
-      const uint64_t wd = DistrictKey(p.c_w_id, p.c_d_id);
-      std::vector<ScanResultEntry<CustomerTable>> rs;
-      t.RangeScan(db.customers, db.customers_by_name,
-                  CustomerNameKey{wd, p.c_last, 0},
-                  CustomerNameKey{wd, p.c_last, ~0ULL},
-                  [](const uint64_t& key, const CustomerRow& row) {
-                    return CustomerNameKey{key / kMaxCustomersPerD,
-                                           row.last_name_id, key};
-                  },
-                  nullptr,
-                  ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance),
-                  0, false, &rs);
-      if (rs.empty()) return ExecStatus::kUserAbort;
-      cobj = rs[MiddleIndex(rs)].object;
-      cn = rs[MiddleIndex(rs)].row;
-    } else {
-      auto c = t.Get(db.customers, CustomerKey(p.c_w_id, p.c_d_id, p.c_id),
-                     ColumnMask::Of(kColCInfo) |
-                         ColumnMask::Of(kColCBalance));
-      if (c.row == nullptr) return ExecStatus::kUserAbort;
-      cobj = c.object;
-      cn = *c.row;
-    }
-    const bool bad_credit = cn.bad_credit;
-    const uint64_t c_key = cobj->key();
-    cn.balance -= p.amount;
-    cn.ytd_payment += p.amount;
-    cn.payment_cnt += 1;
-    ColumnMask mask = ColumnMask::Of(kColCBalance);
-    if (bad_credit) {
-      std::memmove(cn.data + 16, cn.data, sizeof(cn.data) - 16);
-      std::memcpy(cn.data, &c_key, sizeof(c_key));
-      std::memcpy(cn.data + 8, &p.amount, sizeof(p.amount));
-      mask |= ColumnMask::Of(kColCData);
-    }
-    st = t.UpdateRow(db.customers, cobj, cn, mask);
-    if (st != ExecStatus::kOk) return st;
-    HistoryRow h;
-    h.c_key = c_key;
-    h.d_key = DistrictKey(p.w_id, p.d_id);
-    h.amount = p.amount;
-    h.date = p.date;
-    if (t.InsertRow(db.history, db.NextHistoryKey(), h) != WriteStatus::kOk) {
-      return ExecStatus::kWriteWriteConflict;
-    }
-    return ExecStatus::kOk;
-  };
-}
-
-OmvccExecutor::Program OmvccOrderStatus(TpccDb& db, const TpccParams& p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    uint64_t c_id = p.c_id;
-    if (p.by_last_name) {
-      const uint64_t wd = DistrictKey(p.w_id, p.d_id);
-      std::vector<ScanResultEntry<CustomerTable>> rs;
-      t.RangeScan(db.customers, db.customers_by_name,
-                  CustomerNameKey{wd, p.c_last, 0},
-                  CustomerNameKey{wd, p.c_last, ~0ULL},
-                  [](const uint64_t& key, const CustomerRow& row) {
-                    return CustomerNameKey{key / kMaxCustomersPerD,
-                                           row.last_name_id, key};
-                  },
-                  nullptr,
-                  ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance),
-                  0, false, &rs);
-      if (rs.empty()) return ExecStatus::kUserAbort;
-      c_id = rs[MiddleIndex(rs)].object->key() % kMaxCustomersPerD;
-    } else {
-      auto c = t.Get(db.customers, CustomerKey(p.w_id, p.d_id, p.c_id),
-                     ColumnMask::Of(kColCBalance));
-      if (c.row == nullptr) return ExecStatus::kUserAbort;
-    }
-    std::vector<ScanResultEntry<OrderTable>> orders_rs;
-    t.RangeScan(db.orders, db.orders_by_customer,
-                CustomerOrderKey(p.w_id, p.d_id, c_id, 0),
-                CustomerOrderKey(p.w_id, p.d_id, c_id, kMaxOrdersPerD - 1),
-                [](const uint64_t& key, const OrderRow&) { return key; },
-                nullptr,
-                ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo), 1,
-                true, &orders_rs);
-    if (orders_rs.empty()) return ExecStatus::kUserAbort;
-    const uint64_t o_id = orders_rs[0].object->key() % kMaxOrdersPerD;
-    std::vector<ScanResultEntry<OrderLineTable>> lines;
-    t.RangeScan(db.order_lines, db.order_lines_by_district,
-                OrderLineKey(p.w_id, p.d_id, o_id, 0),
-                OrderLineKey(p.w_id, p.d_id, o_id, kMaxOrderLines - 1),
-                [](const uint64_t& key, const OrderLineRow&) { return key; },
-                nullptr, ColumnMask::Of(kColOlInfo), 0, false, &lines);
-    int64_t total = 0;
-    for (const auto& l : lines) total += l.row.amount;
-    (void)total;
-    return ExecStatus::kOk;
-  };
-}
-
-OmvccExecutor::Program OmvccDelivery(TpccDb& db, const TpccParams& p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    for (uint64_t d = 1; d <= db.scale().n_districts; ++d) {
-      std::vector<ScanResultEntry<NewOrderTable>> rs;
-      t.RangeScan(db.new_orders, db.new_order_queue, OrderKey(p.w_id, d, 0),
-                  OrderKey(p.w_id, d, kMaxOrdersPerD - 1),
-                  [](const uint64_t& key, const NewOrderRow&) { return key; },
-                  nullptr, kAllCols, 1, false, &rs);
-      if (rs.empty()) continue;
-      NewOrderTable::Object* nobj = rs[0].object;
-      const uint64_t okey = nobj->key();
-      const uint64_t o_id = okey % kMaxOrdersPerD;
-      ExecStatus st = t.DeleteRow(db.new_orders, nobj);
-      if (st != ExecStatus::kOk) return st;
-      auto o = t.Get(db.orders, okey,
-                     ColumnMask::Of(kColOCarrier) |
-                         ColumnMask::Of(kColOInfo));
-      if (o.row == nullptr) return ExecStatus::kUserAbort;
-      OrderRow on = *o.row;
-      on.carrier_id = p.carrier_id;
-      st = t.UpdateRow(db.orders, o.object, on,
-                       ColumnMask::Of(kColOCarrier));
-      if (st != ExecStatus::kOk) return st;
-      const uint64_t c_id = o.row->c_id;
-      std::vector<ScanResultEntry<OrderLineTable>> lines;
-      t.RangeScan(db.order_lines, db.order_lines_by_district,
-                  OrderLineKey(p.w_id, d, o_id, 0),
-                  OrderLineKey(p.w_id, d, o_id, kMaxOrderLines - 1),
-                  [](const uint64_t& key, const OrderLineRow&) {
-                    return key;
-                  },
-                  nullptr,
-                  ColumnMask::Of(kColOlDeliveryD) |
-                      ColumnMask::Of(kColOlInfo),
-                  0, false, &lines);
-      int64_t total = 0;
-      for (const auto& l : lines) {
-        total += l.row.amount;
-        OrderLineRow ln = l.row;
-        ln.delivery_d = p.date;
-        st = t.UpdateRow(db.order_lines, l.object, ln,
-                         ColumnMask::Of(kColOlDeliveryD));
-        if (st != ExecStatus::kOk) return st;
-      }
-      auto c = t.Get(db.customers, CustomerKey(p.w_id, d, c_id),
-                     ColumnMask::Of(kColCBalance));
-      if (c.row == nullptr) return ExecStatus::kUserAbort;
-      CustomerRow cn = *c.row;
-      cn.balance += total;
-      cn.delivery_cnt += 1;
-      st = t.UpdateRow(db.customers, c.object, cn,
-                       ColumnMask::Of(kColCBalance));
-      if (st != ExecStatus::kOk) return st;
-    }
-    return ExecStatus::kOk;
-  };
-}
-
-OmvccExecutor::Program OmvccStockLevel(TpccDb& db, const TpccParams& p) {
-  return [&db, p](OmvccTransaction& t) -> ExecStatus {
-    auto d = t.Get(db.districts, DistrictKey(p.w_id, p.d_id),
-                   ColumnMask::Of(kColDNextOid));
-    if (d.row == nullptr) return ExecStatus::kUserAbort;
-    const uint64_t next_o = d.row->next_o_id;
-    const uint64_t lo_o = next_o > 20 ? next_o - 20 : 1;
-    std::vector<ScanResultEntry<OrderLineTable>> lines;
-    t.RangeScan(db.order_lines, db.order_lines_by_district,
-                OrderLineKey(p.w_id, p.d_id, lo_o, 0),
-                OrderLineKey(p.w_id, p.d_id, next_o - 1, kMaxOrderLines - 1),
-                [](const uint64_t& key, const OrderLineRow&) { return key; },
-                nullptr, ColumnMask::Of(kColOlInfo), 0, false, &lines);
-    std::vector<uint64_t> seen;
-    int low_stock = 0;
-    for (const auto& l : lines) {
-      if (std::find(seen.begin(), seen.end(), l.row.i_id) != seen.end()) {
-        continue;
-      }
-      seen.push_back(l.row.i_id);
-      auto s = t.Get(db.stock, StockKey(p.w_id, l.row.i_id),
-                     ColumnMask::Of(kColSQuantity));
-      if (s.row != nullptr && s.row->quantity < p.threshold) ++low_stock;
-    }
-    (void)low_stock;
-    return ExecStatus::kOk;
-  };
-}
-
-}  // namespace
-
-OmvccExecutor::Program OmvccTpccProgram(TpccDb& db, const TpccParams& p) {
-  switch (p.type) {
-    case TpccTxnType::kNewOrder:
-      return OmvccNewOrder(db, p);
-    case TpccTxnType::kPayment:
-      return OmvccPayment(db, p);
-    case TpccTxnType::kOrderStatus:
-      return OmvccOrderStatus(db, p);
-    case TpccTxnType::kDelivery:
-      return OmvccDelivery(db, p);
-    case TpccTxnType::kStockLevel:
-      return OmvccStockLevel(db, p);
-  }
-  MV3C_CHECK(false);
-  return nullptr;
-}
+template Mv3cExecutor::Program TpccProgram<Mv3cExecutor>(TpccDb&,
+                                                         const TpccParams&);
+template OmvccExecutor::Program TpccProgram<OmvccExecutor>(
+    TpccDb&, const TpccParams&);
 
 // ---------------------------------------------------------------------------
 // Consistency checks (spec clause 3.3.2, subset)

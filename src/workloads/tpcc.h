@@ -425,8 +425,20 @@ class TpccGenerator {
 // Transaction programs
 // ---------------------------------------------------------------------------
 
-Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db, const TpccParams& p);
-OmvccExecutor::Program OmvccTpccProgram(TpccDb& db, const TpccParams& p);
+/// The program of one TPC-C transaction, written once in the MV3C DSL for
+/// both MVCC engines (`Exec` is Mv3cExecutor or OmvccExecutor).
+template <typename Exec>
+typename Exec::Program TpccProgram(TpccDb& db, const TpccParams& p);
+
+inline Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db,
+                                             const TpccParams& p) {
+  return TpccProgram<Mv3cExecutor>(db, p);
+}
+
+inline OmvccExecutor::Program OmvccTpccProgram(TpccDb& db,
+                                               const TpccParams& p) {
+  return TpccProgram<OmvccExecutor>(db, p);
+}
 
 /// TPC-C consistency conditions (spec clause 3.3.2, subset): used by tests
 /// after workload runs. Returns true and fills `why` on the first

@@ -151,6 +151,9 @@ ExecStatus SvNewOrder(Txn& t, SvTpccDb& db, const TpccParams& p) {
   orow.c_id = p.c_id;
   orow.entry_d = p.date;
   orow.ol_cnt = p.ol_cnt;
+  for (uint8_t i = 0; i < p.ol_cnt; ++i) {
+    if (p.items[i].supply_w != p.w_id) orow.all_local = false;
+  }
   const uint64_t okey = OrderKey(p.w_id, p.d_id, o_id);
   SvOrderTable::Rec* orec = nullptr;
   if (!t.Insert(db.orders, okey, orow, &orec)) {

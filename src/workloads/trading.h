@@ -177,21 +177,22 @@ struct PriceUpdateParams {
 static_assert(sizeof(PriceUpdateParams) == 16);
 static_assert(std::has_unique_object_representations_v<PriceUpdateParams>);
 
-// --- MV3C programs ---
+// --- programs (one DSL body per transaction; `Exec` is Mv3cExecutor or
+// OmvccExecutor) ---
 
-/// TradeOrder in the MV3C DSL. The predicate graph is a root on the
-/// customer row (whose closure performs the expensive decrypt+deserialize
-/// and inserts the Trade row) with one child predicate per ordered
-/// security (whose closure inserts that TradeLine). A conflicting
-/// PriceUpdate invalidates only the touched security's predicate: repair
-/// re-reads one price and re-encodes one trade line — the decryption is
-/// never redone (§6.1.1).
-inline Mv3cExecutor::Program Mv3cTradeOrder(TradingDb& db,
-                                            TradeOrderParams params) {
-  return [&db, params](Mv3cTransaction& t) -> ExecStatus {
+/// TradeOrder. The predicate graph is a root on the customer row (whose
+/// closure performs the expensive decrypt+deserialize and inserts the
+/// Trade row) with one child predicate per ordered security (whose closure
+/// inserts that TradeLine). Under MV3C a conflicting PriceUpdate
+/// invalidates only the touched security's predicate: repair re-reads one
+/// price and re-encodes one trade line — the decryption is never redone
+/// (§6.1.1). OMVCC restarts the whole program instead.
+template <typename Exec>
+typename Exec::Program TradeOrder(TradingDb& db, TradeOrderParams params) {
+  return [&db, params](auto& t) -> ExecStatus {
     return t.Lookup(
         db.customers, params.customer_id, ColumnMask::All(),
-        [&db, params](Mv3cTransaction& t, CustomerTable::Object*,
+        [&db, params](auto& t, CustomerTable::Object*,
                       const CustomerRow* cust) -> ExecStatus {
           if (cust == nullptr) return ExecStatus::kUserAbort;
           const uint64_t key = cust->cipher_key;
@@ -216,7 +217,7 @@ inline Mv3cExecutor::Program Mv3cTradeOrder(TradingDb& db,
             const ExecStatus st = t.Lookup(
                 db.securities, item.security_id, ColumnMask::Of(kColPrice),
                 [&db, key, item, tl_key](
-                    Mv3cTransaction& t, SecurityTable::Object*,
+                    auto& t, SecurityTable::Object*,
                     const SecurityRow* sec) -> ExecStatus {
                   if (sec == nullptr) return ExecStatus::kUserAbort;
                   OrderPayload line{};
@@ -239,71 +240,16 @@ inline Mv3cExecutor::Program Mv3cTradeOrder(TradingDb& db,
   };
 }
 
-/// PriceUpdate in MV3C: a blind write (§2.4.1) — never conflicts.
-inline Mv3cExecutor::Program Mv3cPriceUpdate(TradingDb& db,
-                                             PriceUpdateParams params) {
-  return [&db, params](Mv3cTransaction& t) -> ExecStatus {
+/// PriceUpdate: a blind write (§2.4.1). It never conflicts in MV3C; OMVCC
+/// runs it as a read-modify-write with fail-fast write-write conflicts
+/// (§6.1.1: "PriceUpdate consists of a blind write operation, which does
+/// not lead to a conflict in MV3C, but creates a conflict in OMVCC").
+template <typename Exec>
+typename Exec::Program PriceUpdate(TradingDb& db, PriceUpdateParams params) {
+  return [&db, params](auto& t) -> ExecStatus {
     return t.BlindUpdate(
         db.securities, params.security_id, ColumnMask::Of(kColPrice),
         [params](SecurityRow& r) { r.price = params.new_price; });
-  };
-}
-
-// --- OMVCC programs ---
-
-inline OmvccExecutor::Program OmvccTradeOrder(TradingDb& db,
-                                              TradeOrderParams params) {
-  return [&db, params](OmvccTransaction& t) -> ExecStatus {
-    auto cust = t.Get(db.customers, params.customer_id, ColumnMask::All());
-    if (cust.row == nullptr) return ExecStatus::kUserAbort;
-    const uint64_t key = cust.row->cipher_key;
-    const OrderPayload order = DecodePayload(params.payload, key);
-    if (order.n_items == 0 || order.n_items > kMaxOrderItems) {
-      return ExecStatus::kUserAbort;
-    }
-    OrderPayload header{};
-    header.trade_id = order.trade_id;
-    header.timestamp = order.timestamp;
-    header.n_items = order.n_items;
-    if (t.InsertRow(db.trades, order.trade_id,
-                    TradeRow{EncodePayload(header, key)}) ==
-        WriteStatus::kWwConflict) {
-      return ExecStatus::kWriteWriteConflict;
-    }
-    for (uint32_t i = 0; i < order.n_items; ++i) {
-      const auto item = order.items[i];
-      auto sec = t.Get(db.securities, item.security_id,
-                       ColumnMask::Of(kColPrice));
-      if (sec.row == nullptr) return ExecStatus::kUserAbort;
-      OrderPayload line{};
-      line.items[0].security_id = item.security_id;
-      line.items[0].buy = item.buy;
-      line.trade_id = static_cast<uint64_t>(item.buy > 0 ? -sec.row->price
-                                                         : sec.row->price);
-      if (t.InsertRow(db.trade_lines, order.trade_id * 16 + i,
-                      TradeLineRow{EncodePayload(line, key)}) ==
-          WriteStatus::kWwConflict) {
-        return ExecStatus::kWriteWriteConflict;
-      }
-    }
-    return ExecStatus::kOk;
-  };
-}
-
-/// PriceUpdate under OMVCC: the update is a read-modify-write with
-/// fail-fast write-write conflicts (§6.1.1: "PriceUpdate consists of a
-/// blind write operation, which does not lead to a conflict in MV3C, but
-/// creates a conflict in OMVCC").
-inline OmvccExecutor::Program OmvccPriceUpdate(TradingDb& db,
-                                               PriceUpdateParams params) {
-  return [&db, params](OmvccTransaction& t) -> ExecStatus {
-    auto sec = t.Get(db.securities, params.security_id,
-                     ColumnMask::Of(kColPrice));
-    if (sec.row == nullptr) return ExecStatus::kUserAbort;
-    SecurityRow n = *sec.row;
-    n.price = params.new_price;
-    return t.UpdateRow(db.securities, sec.object, n,
-                       ColumnMask::Of(kColPrice));
   };
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -227,8 +229,8 @@ TEST(ChaosSerializabilityTest, TradingChaosRunRemainsConsistent) {
         kTxns, [&](uint64_t i) -> Mv3cExecutor::Program {
           const auto& txn = stream[i];
           return txn.is_trade_order
-                     ? trading::Mv3cTradeOrder(db, txn.order)
-                     : trading::Mv3cPriceUpdate(db, txn.price);
+                     ? trading::TradeOrder<Mv3cExecutor>(db, txn.order)
+                     : trading::PriceUpdate<Mv3cExecutor>(db, txn.price);
         }));
     fp::DisarmAll();
     EXPECT_EQ(r.committed + r.user_aborted + r.exhausted, kTxns);
@@ -276,6 +278,66 @@ TEST(ChaosSerializabilityTest, ThreadedChaosConservesMoney) {
     EXPECT_EQ(mgr.gc().PendingCount(), 0u);
     mgr.arena().DrainDeferred();
     EXPECT_EQ(mgr.arena().snapshot().deferred_slabs, 0u);
+  }
+  fp::Reset(0);
+}
+
+// A commit links its record into the recently-committed list before it
+// stores the high-water mark. A transaction whose lock-free pre-validation
+// reads that record and whose Retimestamp then draws hwm + 1 (not above
+// the record's commit) repairs against the row as it was before that
+// commit, so its in-lock revalidation must not skip the record. The
+// kCommitPublish delay holds every commit inside that window while three
+// threads pay fees into one account: each committed fee must reach it.
+// Each worker pauses between transactions, outside the commit lock: the
+// spin lock otherwise goes straight back to the thread that released it,
+// and the other workers rarely pre-validate inside the window.
+TEST(ChaosSerializabilityTest, PublishDelayLosesNoFeeCredit) {
+  fp::Reset(/*seed=*/29);
+  constexpr int kThreads = 3;
+  constexpr int kTxnsPerThread = 2500;
+  // Many accounts: the fee row is the only hot one, as in perfbench's
+  // banking-hot, so transactions stay on the lock-free repair path instead
+  // of escalating to the in-lock (§4.3) repair.
+  constexpr int64_t kHotAccounts = 10000;
+  {
+    TransactionManager mgr;
+    BankingDb db(&mgr, kHotAccounts, kInitial);
+    db.Load();
+    fp::Config delay;
+    delay.action = fp::Action::kDelay;
+    delay.delay_us = 20;
+    fp::Arm(fp::Site::kCommitPublish, delay);
+    std::vector<int64_t> fees(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kThreads; ++w) {
+      workers.emplace_back([&, w] {
+        Mv3cExecutor e(&mgr, ChaosConfig());
+        banking::TransferGenerator gen(kHotAccounts, /*fee_percent=*/100,
+                                       /*seed=*/31 + w);
+        for (int i = 0; i < kTxnsPerThread; ++i) {
+          const TransferParams p = gen.Next();
+          if (e.Run(banking::Mv3cTransferMoney(db, p)) ==
+              StepResult::kCommitted) {
+            fees[w] += banking::FeeOf(p);
+          }
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        }
+      });
+    }
+    for (std::thread& t : workers) t.join();
+    fp::DisarmAll();
+    int64_t committed_fees = 0;
+    for (int64_t f : fees) committed_fees += f;
+    EXPECT_GT(committed_fees, 0);
+    EXPECT_EQ(db.BalanceOf(BankingDb::kFeeAccount), committed_fees);
+    EXPECT_EQ(db.TotalBalance(), kHotAccounts * kInitial);
+    if (fp::kEnabled) {
+      EXPECT_GT(fp::Trips(fp::Site::kCommitPublish), 0u);
+    }
   }
   fp::Reset(0);
 }

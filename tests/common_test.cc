@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cipher.h"
 #include "common/column_mask.h"
+#include "common/flags.h"
 #include "common/nurand.h"
 #include "common/random.h"
 #include "common/spinlock.h"
@@ -115,6 +118,57 @@ TEST(ColumnMaskTest, Operations) {
   EXPECT_TRUE(ColumnMask::All().Intersects(b));
   EXPECT_TRUE(ColumnMask().Empty());
   EXPECT_EQ(a | b, ab);
+}
+
+TEST(FlagsTest, MatchNeedsNameAndEquals) {
+  std::string v;
+  EXPECT_TRUE(flags::Match("--port=7433", "--port", &v));
+  EXPECT_EQ(v, "7433");
+  EXPECT_TRUE(flags::Match("--port=", "--port", &v));
+  EXPECT_EQ(v, "");
+  EXPECT_FALSE(flags::Match("--port", "--port", &v));
+  EXPECT_FALSE(flags::Match("--ports=1", "--port", &v));
+}
+
+TEST(FlagsTest, ParseUintAcceptsOnlyWholeInRangeNumbers) {
+  uint64_t v = 7;
+  EXPECT_TRUE(flags::ParseUint("0", 0, 10, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(flags::ParseUint("65535", 0, 65535, &v));
+  EXPECT_EQ(v, 65535u);
+  EXPECT_TRUE(flags::ParseUint("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"", "abc", "12abc", "1.5", "-1", "+1", " 1", "1 ",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(flags::ParseUint(bad, 0, UINT64_MAX, &v)) << bad;
+  }
+  EXPECT_FALSE(flags::ParseUint("70000", 0, 65535, &v));
+  EXPECT_FALSE(flags::ParseUint("0", 1, 1024, &v));
+  EXPECT_FALSE(flags::ParseUint("1025", 1, 1024, &v));
+  EXPECT_EQ(v, 7u);  // failures leave the output alone
+}
+
+TEST(FlagsTest, ParseDoubleAcceptsOnlyWholeFiniteInRangeNumbers) {
+  double v = 7;
+  EXPECT_TRUE(flags::ParseDouble("0.8", 0, 1e3, &v));
+  EXPECT_DOUBLE_EQ(v, 0.8);
+  EXPECT_TRUE(flags::ParseDouble("1e3", 0, 1e3, &v));
+  EXPECT_DOUBLE_EQ(v, 1e3);
+  v = 7;
+  for (const char* bad : {"", "abc", "1.5x", "nan", "inf", "1e999", "-1",
+                          "1001"}) {
+    EXPECT_FALSE(flags::ParseDouble(bad, 0, 1e3, &v)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(v, 7);
+}
+
+TEST(FlagsTest, BadValueExitsWithStatusTwo) {
+  EXPECT_EXIT(flags::UintOrExit("--workers", "abc", 1, 1024),
+              ::testing::ExitedWithCode(2), "--workers: invalid value 'abc'");
+  EXPECT_EXIT(flags::DoubleOrExit("--rate", "1e999", 0, 1e9),
+              ::testing::ExitedWithCode(2), "--rate: invalid value");
 }
 
 TEST(SpinLockTest, MutualExclusion) {

@@ -11,12 +11,26 @@ namespace mv3c {
 namespace {
 
 using banking::AccountRow;
+using banking::AccountTable;
 using banking::BankingDb;
 using banking::TransferParams;
 
 class OmvccEngineTest : public ::testing::Test {
  protected:
   OmvccEngineTest() : db_(&mgr_, 16, 1000) { db_.Load(); }
+
+  /// Read-modify-write of one account's balance through the DSL.
+  template <typename F>
+  ExecStatus SetBalance(OmvccTransaction& t, int64_t id, F f) {
+    return t.Lookup(db_.accounts, id, banking::kBalanceMask,
+                    [this, f](OmvccTransaction& t, AccountTable::Object* obj,
+                              const AccountRow* row) {
+                      AccountRow n = *row;
+                      n.balance = f(n.balance);
+                      return t.UpdateRow(db_.accounts, obj, n,
+                                         banking::kBalanceMask);
+                    });
+  }
 
   TransactionManager mgr_;
   BankingDb db_;
@@ -78,10 +92,7 @@ TEST_F(OmvccEngineTest, BlindWriteStyleUpdateStillConflictsInOmvcc) {
   OmvccExecutor a(&mgr_), b(&mgr_);
   auto bump = [this](int64_t delta) {
     return [this, delta](OmvccTransaction& t) -> ExecStatus {
-      auto r = t.Get(db_.accounts, 5, banking::kBalanceMask);
-      AccountRow n = *r.row;
-      n.balance += delta;
-      return t.UpdateRow(db_.accounts, r.object, n, banking::kBalanceMask);
+      return SetBalance(t, 5, [delta](int64_t b) { return b + delta; });
     };
   };
   a.Reset(bump(1));
@@ -115,7 +126,7 @@ TEST_F(OmvccEngineTest, UserAbortNeverRestarts) {
 TEST_F(OmvccEngineTest, ReadOnlyCommitsAtStartTimestamp) {
   OmvccExecutor ro(&mgr_);
   int64_t sum = 0;
-  ro.Reset(banking::OmvccSumAll(db_, &sum));
+  ro.Reset(banking::SumAll<OmvccExecutor>(db_, &sum));
   ro.Begin();
   // Concurrent writer commits in between.
   OmvccExecutor w(&mgr_);
@@ -130,16 +141,12 @@ TEST_F(OmvccEngineTest, ReadOnlyCommitsAtStartTimestamp) {
 // Bonus result set after the scan fails validation.
 TEST_F(OmvccEngineTest, ScanPredicateCatchesResultSetChange) {
   OmvccExecutor bonus(&mgr_);
-  bonus.Reset(banking::OmvccBonus(db_, 2000));  // nobody qualifies yet
+  bonus.Reset(banking::Bonus<OmvccExecutor>(db_, 2000, false));  // none qualify
   bonus.Begin();
   // Push account 3 over the threshold concurrently.
   OmvccExecutor w(&mgr_);
-  ASSERT_EQ(w.Run([this](OmvccTransaction& t) -> ExecStatus {
-              auto r = t.Get(db_.accounts, 3, banking::kBalanceMask);
-              AccountRow n = *r.row;
-              n.balance = 5000;
-              return t.UpdateRow(db_.accounts, r.object, n,
-                                 banking::kBalanceMask);
+  ASSERT_EQ(w.Run([this](OmvccTransaction& t) {
+              return SetBalance(t, 3, [](int64_t) { return 5000; });
             }),
             StepResult::kCommitted);
   StepResult r = bonus.Step();
@@ -148,15 +155,11 @@ TEST_F(OmvccEngineTest, ScanPredicateCatchesResultSetChange) {
   ASSERT_EQ(r, StepResult::kCommitted);
   // Run another bonus that DOES write, with a concurrent threshold-crosser.
   OmvccExecutor bonus2(&mgr_);
-  bonus2.Reset(banking::OmvccBonus(db_, 4000));  // account 3 qualifies now
+  bonus2.Reset(banking::Bonus<OmvccExecutor>(db_, 4000, false));  // 3 qualifies
   bonus2.Begin();
   OmvccExecutor w2(&mgr_);
-  ASSERT_EQ(w2.Run([this](OmvccTransaction& t) -> ExecStatus {
-              auto r2 = t.Get(db_.accounts, 7, banking::kBalanceMask);
-              AccountRow n = *r2.row;
-              n.balance = 4500;
-              return t.UpdateRow(db_.accounts, r2.object, n,
-                                 banking::kBalanceMask);
+  ASSERT_EQ(w2.Run([this](OmvccTransaction& t) {
+              return SetBalance(t, 7, [](int64_t) { return 4500; });
             }),
             StepResult::kCommitted);
   r = bonus2.Step();

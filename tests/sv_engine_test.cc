@@ -191,6 +191,34 @@ TYPED_TEST(SvEngineTest, TpccMixedWindowRunKeepsConsistency) {
   EXPECT_TRUE(CheckSvConsistency(db, &why)) << why;
 }
 
+// O_ALL_LOCAL is false iff some line is supplied by another warehouse.
+TYPED_TEST(SvEngineTest, TpccNewOrderRecordsRemoteSupply) {
+  TpccScale scale = SvTestScale();
+  scale.n_warehouses = 2;
+  SvTpccDb db(scale);
+  db.Load(7);
+  TypeParam engine;
+  SvExecutor<TypeParam> e(&engine);
+  TpccParams p;
+  p.type = TpccTxnType::kNewOrder;
+  p.w_id = 1;
+  p.d_id = 1;
+  p.c_id = 4;
+  p.ol_cnt = 5;
+  for (int i = 0; i < 5; ++i) {
+    p.items[i] = {static_cast<uint64_t>(i + 1), 1, 2};
+  }
+  ASSERT_EQ(e.Run(SvTpccProgram(db, p)), StepResult::kCommitted);
+  p.items[3].supply_w = 2;  // one remote line
+  ASSERT_EQ(e.Run(SvTpccProgram(db, p)), StepResult::kCommitted);
+  const uint64_t o_id = scale.preload_orders_per_d + 1;
+  OrderRow local, remote;
+  db.orders.Find(OrderKey(1, 1, o_id))->ReadStable(&local);
+  db.orders.Find(OrderKey(1, 1, o_id + 1))->ReadStable(&remote);
+  EXPECT_TRUE(local.all_local);
+  EXPECT_FALSE(remote.all_local);
+}
+
 TYPED_TEST(SvEngineTest, TpccPhantomDetectionViaNodeSets) {
   SvTpccDb db(SvTestScale());
   db.Load(7);

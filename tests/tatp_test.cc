@@ -37,13 +37,13 @@ TEST_F(TatpTest, AllTransactionTypesRunUnderBothEngines) {
   for (int i = 0; i < 2000; ++i) {
     const TatpParams p = gen.Next();
     Mv3cExecutor m(&mgr_);
-    if (m.Run(Mv3cTatpProgram(db_, p)) == StepResult::kCommitted) {
+    if (m.Run(TatpProgram<Mv3cExecutor>(db_, p)) == StepResult::kCommitted) {
       ++committed_mv3c;
     } else {
       ++aborted_mv3c;
     }
     OmvccExecutor o(&mgr_);
-    if (o.Run(OmvccTatpProgram(db_, p)) == StepResult::kCommitted) {
+    if (o.Run(TatpProgram<OmvccExecutor>(db_, p)) == StepResult::kCommitted) {
       ++committed_omvcc;
     } else {
       ++aborted_omvcc;
@@ -67,8 +67,8 @@ TEST_F(TatpTest, UpdateLocationBlindWriteAsymmetry) {
   Mv3cExecutor a(&mgr_), b(&mgr_);
   TatpParams p2 = p;
   p2.location = 0xCAFE;
-  a.Reset(Mv3cTatpProgram(db_, p));
-  b.Reset(Mv3cTatpProgram(db_, p2));
+  a.Reset(TatpProgram<Mv3cExecutor>(db_, p));
+  b.Reset(TatpProgram<Mv3cExecutor>(db_, p2));
   a.Begin();
   b.Begin();
   ASSERT_EQ(a.Step(), StepResult::kCommitted);
@@ -78,11 +78,11 @@ TEST_F(TatpTest, UpdateLocationBlindWriteAsymmetry) {
 
   // Two concurrent OMVCC UPDATE_LOCATIONs: the second prematurely aborts.
   OmvccExecutor c(&mgr_), d(&mgr_);
-  c.Reset(OmvccTatpProgram(db_, p));
-  d.Reset(OmvccTatpProgram(db_, p2));
+  c.Reset(TatpProgram<OmvccExecutor>(db_, p));
+  d.Reset(TatpProgram<OmvccExecutor>(db_, p2));
   c.Begin();
   d.Begin();
-  ASSERT_EQ(OmvccTatpProgram(db_, p)(c.txn()), ExecStatus::kOk);
+  ASSERT_EQ(TatpProgram<OmvccExecutor>(db_, p)(c.txn()), ExecStatus::kOk);
   ASSERT_EQ(d.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(d.stats().ww_restarts, 1u);
   c.txn().RollbackAll();
@@ -100,20 +100,23 @@ TEST_F(TatpTest, InsertThenDeleteCallForwardingRoundTrip) {
   // Delete any preexisting row first.
   p.type = TxnType::kDeleteCallForwarding;
   Mv3cExecutor d0(&mgr_);
-  (void)d0.Run(Mv3cTatpProgram(db_, p));  // outcome depends on loader; ignore
+  // The outcome depends on the loader; ignore it.
+  (void)d0.Run(TatpProgram<Mv3cExecutor>(db_, p));
 
   p.type = TxnType::kInsertCallForwarding;
   Mv3cExecutor ins(&mgr_);
-  ASSERT_EQ(ins.Run(Mv3cTatpProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(ins.Run(TatpProgram<Mv3cExecutor>(db_, p)), StepResult::kCommitted);
   // Second insert is a duplicate -> user abort.
   Mv3cExecutor ins2(&mgr_);
-  ASSERT_EQ(ins2.Run(Mv3cTatpProgram(db_, p)), StepResult::kUserAborted);
+  ASSERT_EQ(ins2.Run(TatpProgram<Mv3cExecutor>(db_, p)),
+            StepResult::kUserAborted);
   // Delete succeeds exactly once.
   p.type = TxnType::kDeleteCallForwarding;
   Mv3cExecutor del(&mgr_);
-  ASSERT_EQ(del.Run(Mv3cTatpProgram(db_, p)), StepResult::kCommitted);
+  ASSERT_EQ(del.Run(TatpProgram<Mv3cExecutor>(db_, p)), StepResult::kCommitted);
   Mv3cExecutor del2(&mgr_);
-  ASSERT_EQ(del2.Run(Mv3cTatpProgram(db_, p)), StepResult::kUserAborted);
+  ASSERT_EQ(del2.Run(TatpProgram<Mv3cExecutor>(db_, p)),
+            StepResult::kUserAborted);
 }
 
 TEST_F(TatpTest, WindowRunCompletes) {
@@ -126,7 +129,7 @@ TEST_F(TatpTest, WindowRunCompletes) {
       [&] { mgr_.CollectGarbage(); });
   const DriveResult res = driver.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(),
-      [&](uint64_t i) { return Mv3cTatpProgram(db_, stream[i]); }));
+      [&](uint64_t i) { return TatpProgram<Mv3cExecutor>(db_, stream[i]); }));
   EXPECT_EQ(res.committed + res.user_aborted, stream.size());
   EXPECT_GT(res.committed, res.user_aborted);
 }

@@ -57,7 +57,7 @@ TEST(TradingPayloadTest, CipherRoundTrip) {
 
 TEST_F(TradingTest, TradeOrderInsertsTradeAndLines) {
   Mv3cExecutor e(&mgr_);
-  ASSERT_EQ(e.Run(Mv3cTradeOrder(db_, MakeOrder(3, 100, {5, 9, 11}))),
+  ASSERT_EQ(e.Run(TradeOrder<Mv3cExecutor>(db_, MakeOrder(3, 100, {5, 9, 11}))),
             StepResult::kCommitted);
   EXPECT_EQ(db_.trades.ObjectCount(), 1u);
   EXPECT_EQ(db_.trade_lines.ObjectCount(), 3u);
@@ -80,8 +80,8 @@ TEST_F(TradingTest, TradeOrderInsertsTradeAndLines) {
 
 TEST_F(TradingTest, PriceUpdateBlindWriteNeverConflictsInMv3c) {
   Mv3cExecutor a(&mgr_), b(&mgr_);
-  a.Reset(Mv3cPriceUpdate(db_, {7, 1111}));
-  b.Reset(Mv3cPriceUpdate(db_, {7, 2222}));
+  a.Reset(PriceUpdate<Mv3cExecutor>(db_, {7, 1111}));
+  b.Reset(PriceUpdate<Mv3cExecutor>(db_, {7, 2222}));
   a.Begin();
   b.Begin();
   ASSERT_EQ(a.Step(), StepResult::kCommitted);
@@ -103,12 +103,13 @@ TEST_F(TradingTest, PriceUpdateBlindWriteNeverConflictsInMv3c) {
 
 TEST_F(TradingTest, PriceUpdateConflictsInOmvcc) {
   OmvccExecutor a(&mgr_), b(&mgr_);
-  a.Reset(OmvccPriceUpdate(db_, {7, 1111}));
-  b.Reset(OmvccPriceUpdate(db_, {7, 2222}));
+  a.Reset(PriceUpdate<OmvccExecutor>(db_, {7, 1111}));
+  b.Reset(PriceUpdate<OmvccExecutor>(db_, {7, 2222}));
   a.Begin();
   b.Begin();
   // a executes without committing: b fail-fasts on the uncommitted version.
-  ASSERT_EQ(OmvccPriceUpdate(db_, {7, 1111})(a.txn()), ExecStatus::kOk);
+  ASSERT_EQ(PriceUpdate<OmvccExecutor>(db_, {7, 1111})(a.txn()),
+            ExecStatus::kOk);
   ASSERT_EQ(b.Step(), StepResult::kNeedsRetry);
   EXPECT_EQ(b.stats().ww_restarts, 1u);
   a.txn().RollbackAll();
@@ -120,11 +121,12 @@ TEST_F(TradingTest, PriceUpdateConflictsInOmvcc) {
 // (root) does not re-run.
 TEST_F(TradingTest, ConflictRepairsOnlyTouchedSecurity) {
   Mv3cExecutor order(&mgr_);
-  order.Reset(Mv3cTradeOrder(db_, MakeOrder(3, 100, {5, 9, 11})));
+  order.Reset(TradeOrder<Mv3cExecutor>(db_, MakeOrder(3, 100, {5, 9, 11})));
   order.Begin();
   // A PriceUpdate on security 9 commits first.
   Mv3cExecutor pu(&mgr_);
-  ASSERT_EQ(pu.Run(Mv3cPriceUpdate(db_, {9, 4242})), StepResult::kCommitted);
+  ASSERT_EQ(pu.Run(PriceUpdate<Mv3cExecutor>(db_, {9, 4242})),
+            StepResult::kCommitted);
   ASSERT_EQ(order.Step(), StepResult::kNeedsRetry);
   ASSERT_EQ(order.Step(), StepResult::kCommitted);
   EXPECT_EQ(order.stats().repair_rounds, 1u);
@@ -188,8 +190,8 @@ TEST_F(TradingTest, WindowRunBothEnginesComplete) {
   const DriveResult res = driver.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(), [&](uint64_t i) -> Mv3cExecutor::Program {
         const auto& txn = stream[i];
-        return txn.is_trade_order ? Mv3cTradeOrder(db_, txn.order)
-                                  : Mv3cPriceUpdate(db_, txn.price);
+        return txn.is_trade_order ? TradeOrder<Mv3cExecutor>(db_, txn.order)
+                                  : PriceUpdate<Mv3cExecutor>(db_, txn.price);
       }));
   EXPECT_EQ(res.committed, stream.size());
 
@@ -204,8 +206,8 @@ TEST_F(TradingTest, WindowRunBothEnginesComplete) {
   const DriveResult res2 = driver2.Run(CountedSource<OmvccExecutor::Program>(
       stream.size(), [&](uint64_t i) -> OmvccExecutor::Program {
         const auto& txn = stream[i];
-        return txn.is_trade_order ? OmvccTradeOrder(db2, txn.order)
-                                  : OmvccPriceUpdate(db2, txn.price);
+        return txn.is_trade_order ? TradeOrder<OmvccExecutor>(db2, txn.order)
+                                  : PriceUpdate<OmvccExecutor>(db2, txn.price);
       }));
   EXPECT_EQ(res2.committed, stream.size());
   // Same number of trades recorded by both engines.

@@ -219,9 +219,9 @@ TEST_F(WalCkptTest, TradingEquivalenceVsGenesis) {
     for (int i = 1; i <= 600; ++i) {
       const auto t = gen.Next();
       if (t.is_trade_order) {
-        (void)e.Run(trading::Mv3cTradeOrder(db, t.order));
+        (void)e.Run(trading::TradeOrder<Mv3cExecutor>(db, t.order));
       } else {
-        (void)e.Run(trading::Mv3cPriceUpdate(db, t.price));
+        (void)e.Run(trading::PriceUpdate<Mv3cExecutor>(db, t.price));
       }
       if (i % 250 == 0) { ASSERT_TRUE(ck.TakeCheckpoint()); }
     }
@@ -265,7 +265,7 @@ TEST_F(WalCkptTest, TatpEquivalenceVsGenesis) {
     tatp::TatpGenerator gen(kSubs, 77);
     Mv3cExecutor e(&mgr);
     for (int i = 1; i <= 1200; ++i) {
-      (void)e.Run(tatp::Mv3cTatpProgram(db, gen.Next()));
+      (void)e.Run(tatp::TatpProgram<Mv3cExecutor>(db, gen.Next()));
       if (i % 500 == 0) { ASSERT_TRUE(ck.TakeCheckpoint()); }
     }
   }

@@ -158,9 +158,11 @@ TEST_F(WalPartitionTest, TradingMv3c) {
             driver.Run(CountedSource<Mv3cExecutor::Program>(
                 stream.size(), [&](uint64_t i) -> Mv3cExecutor::Program {
                   if (stream[i].is_trade_order) {
-                    return trading::Mv3cTradeOrder(db, stream[i].order);
+                    return trading::TradeOrder<Mv3cExecutor>(
+                        db, stream[i].order);
                   }
-                  return trading::Mv3cPriceUpdate(db, stream[i].price);
+                  return trading::PriceUpdate<Mv3cExecutor>(
+                      db, stream[i].price);
                 }));
         EXPECT_GT(res.committed, 0u);
         EXPECT_TRUE(mgr.wal()->FlushNow());
@@ -203,7 +205,7 @@ TEST_F(WalPartitionTest, TatpMv3c) {
         Mv3cExecutor e(&mgr);
         uint64_t committed = 0;
         for (int i = 0; i < 1500; ++i) {
-          if (e.Run(tatp::Mv3cTatpProgram(db, gen.Next())) ==
+          if (e.Run(tatp::TatpProgram<Mv3cExecutor>(db, gen.Next())) ==
               StepResult::kCommitted) {
             ++committed;
           }

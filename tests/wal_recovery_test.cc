@@ -195,9 +195,9 @@ TEST_F(WalRecoveryTest, TradingMv3c) {
   const DriveResult res = driver.Run(CountedSource<Mv3cExecutor::Program>(
       stream.size(), [&](uint64_t i) -> Mv3cExecutor::Program {
         if (stream[i].is_trade_order) {
-          return trading::Mv3cTradeOrder(db, stream[i].order);
+          return trading::TradeOrder<Mv3cExecutor>(db, stream[i].order);
         }
-        return trading::Mv3cPriceUpdate(db, stream[i].price);
+        return trading::PriceUpdate<Mv3cExecutor>(db, stream[i].price);
       }));
   ASSERT_GT(res.committed, 0u);
   ASSERT_TRUE(mgr.wal()->FlushNow());
@@ -235,7 +235,7 @@ TEST_F(WalRecoveryTest, TatpMv3c) {
   Mv3cExecutor e(&mgr);
   uint64_t committed = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (e.Run(tatp::Mv3cTatpProgram(db, gen.Next())) ==
+    if (e.Run(tatp::TatpProgram<Mv3cExecutor>(db, gen.Next())) ==
         StepResult::kCommitted) {
       ++committed;
     }

@@ -10,10 +10,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/random.h"
 #include "obs/prom_export.h"
 #include "server/protocol.h"
@@ -35,13 +35,6 @@ server::WorkloadHost::Result RunOne(server::WorkloadHost* host, Op op,
                    reinterpret_cast<const uint8_t*>(&p), sizeof(p));
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 }  // namespace
 }  // namespace mv3c
 
@@ -55,17 +48,17 @@ int main(int argc, char** argv) {
   std::string v;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (ParseFlag(a, "--workload", &v)) {
+    if (flags::Match(a, "--workload", &v)) {
       hopts.workload = v;
-    } else if (ParseFlag(a, "--engine", &v)) {
+    } else if (flags::Match(a, "--engine", &v)) {
       hopts.engine = v;
-    } else if (ParseFlag(a, "--scale", &v)) {
-      hopts.scale = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--txns", &v)) {
-      txns = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--seed", &v)) {
-      seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(a, "--format", &v)) {
+    } else if (flags::Match(a, "--scale", &v)) {
+      hopts.scale = flags::UintOrExit("--scale", v, 0, UINT64_MAX);
+    } else if (flags::Match(a, "--txns", &v)) {
+      txns = flags::UintOrExit("--txns", v, 0, UINT64_MAX);
+    } else if (flags::Match(a, "--seed", &v)) {
+      seed = flags::UintOrExit("--seed", v, 0, UINT64_MAX);
+    } else if (flags::Match(a, "--format", &v)) {
       format = v;
     } else {
       std::fprintf(stderr,
