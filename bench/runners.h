@@ -23,7 +23,6 @@
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
-#include "workloads/tpcc_sv.h"
 #include "workloads/trading.h"
 
 namespace mv3c::bench {
@@ -246,7 +245,7 @@ RunResult RunTpcc(size_t window, const TpccSetup& s) {
 
 template <typename Engine>
 RunResult RunTpccSv(size_t window, const TpccSetup& s) {
-  tpcc::SvTpccDb db(s.scale);
+  tpcc::TpccSvDb db(s.scale);
   db.Load(s.seed);
   const auto stream = TpccStream(s);
   Engine engine;
@@ -255,7 +254,9 @@ RunResult RunTpccSv(size_t window, const TpccSetup& s) {
   RunResult r = Drive<SvExecutor<Engine>>(
       window, s.n_txns,
       [&](...) { return std::make_unique<SvExecutor<Engine>>(&engine); },
-      [&](uint64_t i) { return tpcc::SvTpccProgram(db, stream[i]); },
+      [&](uint64_t i) {
+        return tpcc::TpccProgram<SvExecutor<Engine>>(db, stream[i]);
+      },
       nullptr);
   // The engine (not the executor) owns the validation-phase histogram.
   r.metrics.Merge(engine.metrics().Snapshot());

@@ -91,6 +91,7 @@ struct OmvccStats {
 struct SvStats {
   uint64_t commits = 0;
   uint64_t user_aborts = 0;
+  uint64_t ww_restarts = 0;          // InsertRow found a live key
   uint64_t validation_failures = 0;  // abort-and-restart rounds
   uint64_t exhausted = 0;            // gave up after the attempt budget
   uint64_t backoff_us = 0;           // microseconds slept backing off
@@ -100,6 +101,7 @@ struct SvStats {
   void Add(const SvStats& o) {
     commits += o.commits;
     user_aborts += o.user_aborts;
+    ww_restarts += o.ww_restarts;
     validation_failures += o.validation_failures;
     exhausted += o.exhausted;
     backoff_us += o.backoff_us;
@@ -170,6 +172,7 @@ inline void RegisterCounters(MetricsRegistry* reg, const OmvccStats* s) {
 inline void RegisterCounters(MetricsRegistry* reg, const SvStats* s) {
   reg->RegisterCounter("commits", &s->commits);
   reg->RegisterCounter("user_aborts", &s->user_aborts);
+  reg->RegisterCounter("ww_restarts", &s->ww_restarts);
   reg->RegisterCounter("validation_failures", &s->validation_failures);
   reg->RegisterCounter("exhausted", &s->exhausted);
   reg->RegisterCounter("backoff_us", &s->backoff_us);

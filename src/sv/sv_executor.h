@@ -59,6 +59,12 @@ class SvExecutor {
       MV3C_TRACE_EVENT(obs::TraceEvent::kAbort, seq_);
       return StepResult::kUserAborted;
     }
+    if (st == ExecStatus::kWriteWriteConflict) {
+      // An insert found a live key (a concurrent commit took it): nothing
+      // is installed — the write set is only buffered — so retry the round.
+      ++stats_.ww_restarts;
+      return FailRound();
+    }
     MV3C_DCHECK(st == ExecStatus::kOk);
     // An injected validation failure must be decided *before* Commit runs:
     // a successful Commit installs the write set, after which pretending
@@ -90,17 +96,7 @@ class SvExecutor {
     }
     ++stats_.validation_failures;
     MV3C_TRACE_EVENT(obs::TraceEvent::kValidateFail, seq_);
-    const RetryDecision d = ctrl_.OnFailure();
-    stats_.max_rounds = std::max<uint64_t>(stats_.max_rounds,
-                                           ctrl_.attempts());
-    stats_.backoff_us = ctrl_.backoff_us_total();
-    if (d == RetryDecision::kGiveUp) {
-      txn_.Clear();
-      ++stats_.exhausted;
-      MV3C_TRACE_EVENT(obs::TraceEvent::kAbort, seq_);
-      return StepResult::kExhausted;
-    }
-    return StepResult::kNeedsRetry;
+    return FailRound();
   }
 
   /// Runs the transaction to completion; bounded by the attempt budget.
@@ -142,6 +138,15 @@ class SvExecutor {
   void set_wal(wal::LogManager* lm) { wal_ = lm; }
 
  private:
+  StepResult FailRound() {
+    const RetryDecision d = ctrl_.OnFailure();
+    stats_.max_rounds = std::max<uint64_t>(stats_.max_rounds,
+                                           ctrl_.attempts());
+    stats_.backoff_us = ctrl_.backoff_us_total();
+    if (d == RetryDecision::kGiveUp) return GiveUp();
+    return StepResult::kNeedsRetry;
+  }
+
   Engine* engine_;
   RetryController ctrl_;
   sv::SvTransaction txn_;

@@ -33,20 +33,58 @@ inline constexpr uint64_t kTidMask = kAbsentBit - 1;
 inline bool IsLocked(uint64_t w) { return (w & kLockBit) != 0; }
 inline bool IsAbsent(uint64_t w) { return (w & kAbsentBit) != 0; }
 
-/// One record: TID word, the owning key, and the row payload in place. The
+/// Seqlock payload copies. A record's row lives in 8-byte atomic words,
+/// read and written with relaxed accesses, so a reader racing an install
+/// sees at worst a torn row, which its TID re-check rejects, and never a
+/// C++ data race. `n` is the row size; the last word is zero-padded.
+inline void LoadPayload(void* dst, const std::atomic<uint64_t>* words,
+                        size_t n) {
+  auto* out = static_cast<unsigned char*>(dst);
+  const size_t full = n / 8;
+  for (size_t i = 0; i < full; ++i) {
+    const uint64_t w = words[i].load(std::memory_order_relaxed);
+    std::memcpy(out + 8 * i, &w, 8);
+  }
+  if (n % 8 != 0) {
+    const uint64_t w = words[full].load(std::memory_order_relaxed);
+    std::memcpy(out + 8 * full, &w, n % 8);
+  }
+}
+
+inline void StorePayload(std::atomic<uint64_t>* words, const void* src,
+                         size_t n) {
+  const auto* in = static_cast<const unsigned char*>(src);
+  const size_t full = n / 8;
+  for (size_t i = 0; i < full; ++i) {
+    uint64_t w;
+    std::memcpy(&w, in + 8 * i, 8);
+    words[i].store(w, std::memory_order_relaxed);
+  }
+  if (n % 8 != 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, in + 8 * full, n % 8);
+    words[full].store(w, std::memory_order_relaxed);
+  }
+}
+
+/// One record: TID word, the row payload in place, and the owning key. The
 /// key is stored on the record (set once at allocation, immutable after)
-/// so the redo serializer can reach it from a write-set entry without an
-/// index lookup; record addresses are stable (deque arena), so pointers to
-/// it stay valid for the transaction's lifetime.
+/// so the redo serializer and scan consumers can reach it without an index
+/// lookup; record addresses are stable (deque arena), so pointers to it
+/// stay valid for the transaction's lifetime.
 template <typename K, typename Row>
 struct Record {
   static_assert(std::is_trivially_copyable_v<Row>,
-                "single-version rows are copied with memcpy");
+                "single-version rows are copied bytewise");
   static_assert(std::is_trivially_copyable_v<K>,
                 "single-version keys are logged with memcpy");
-  std::atomic<uint64_t> tid{kAbsentBit};
-  K key{};
-  Row row{};
+  explicit Record(const K& k) : key_(k) {}
+
+  const K& key() const { return key_; }
+
+  /// The row's words: writers store into them (StorePayload) only while
+  /// they hold the record's lock or no transaction runs.
+  std::atomic<uint64_t>* payload() { return payload_; }
 
   /// Optimistically reads a stable snapshot of the row; returns the TID
   /// word observed (possibly ABSENT). Spins across concurrent installs.
@@ -54,12 +92,18 @@ struct Record {
     while (true) {
       const uint64_t v1 = tid.load(std::memory_order_acquire);
       if (IsLocked(v1)) continue;
-      std::memcpy(out, &row, sizeof(Row));
+      LoadPayload(out, payload_, sizeof(Row));
       std::atomic_thread_fence(std::memory_order_acquire);
       const uint64_t v2 = tid.load(std::memory_order_acquire);
       if (v1 == v2) return v1;
     }
   }
+
+  std::atomic<uint64_t> tid{kAbsentBit};
+
+ private:
+  std::atomic<uint64_t> payload_[(sizeof(Row) + 7) / 8]{};
+  K key_;
 };
 
 /// A single-version table: cuckoo index from key to arena-allocated
@@ -69,7 +113,7 @@ class SvTable {
  public:
   using Key = K;
   using Row = RowT;
-  using Rec = Record<K, RowT>;
+  using Object = Record<K, RowT>;
 
   explicit SvTable(std::string name, size_t expected_rows = 1024)
       : name_(std::move(name)), index_(expected_rows) {}
@@ -78,17 +122,17 @@ class SvTable {
 
   const std::string& name() const { return name_; }
 
-  Rec* Find(const K& key) const {
-    Rec* r = nullptr;
+  Object* Find(const K& key) const {
+    Object* r = nullptr;
     (void)index_.Find(key, &r);  // miss leaves r nullptr, the signal
     return r;
   }
 
   /// Returns the record for `key`, creating an ABSENT one if needed.
-  Rec* GetOrCreate(const K& key) {
-    Rec* r = Find(key);
+  Object* GetOrCreate(const K& key) {
+    Object* r = Find(key);
     if (r != nullptr) return r;
-    Rec* fresh = Allocate(key);
+    Object* fresh = Allocate(key);
     if (index_.Insert(key, fresh)) return fresh;
     MV3C_CHECK(index_.Find(key, &r));  // insert loser: winner must exist
     return r;
@@ -98,15 +142,15 @@ class SvTable {
   /// row, present, at `tid` (1 for population; replay passes the record's
   /// commit TID).
   void LoadRow(const K& key, const RowT& row, uint64_t tid = 1) {
-    Rec* r = GetOrCreate(key);
-    r->row = row;
+    Object* r = GetOrCreate(key);
+    StorePayload(r->payload(), &row, sizeof(RowT));
     r->tid.store(tid & kTidMask, std::memory_order_release);
   }
 
   /// Non-transactional delete (WAL replay of a tombstone record): marks
   /// the row ABSENT at `tid`.
   void LoadTombstone(const K& key, uint64_t tid = 1) {
-    Rec* r = GetOrCreate(key);
+    Object* r = GetOrCreate(key);
     r->tid.store((tid & kTidMask) | kAbsentBit, std::memory_order_release);
   }
 
@@ -120,17 +164,17 @@ class SvTable {
   /// Fresh records carry version 0 (the ABSENT sentinel masks to 0), so
   /// loading into an empty table degenerates to the unconditional paths.
   void LoadRowIfNewer(const K& key, const RowT& row, uint64_t tid) {
-    Rec* r = GetOrCreate(key);
+    Object* r = GetOrCreate(key);
     if ((tid & kTidMask) <
         (r->tid.load(std::memory_order_acquire) & kTidMask)) {
       return;
     }
-    r->row = row;
+    StorePayload(r->payload(), &row, sizeof(RowT));
     r->tid.store(tid & kTidMask, std::memory_order_release);
   }
 
   void LoadTombstoneIfNewer(const K& key, uint64_t tid) {
-    Rec* r = GetOrCreate(key);
+    Object* r = GetOrCreate(key);
     if ((tid & kTidMask) <
         (r->tid.load(std::memory_order_acquire) & kTidMask)) {
       return;
@@ -140,12 +184,12 @@ class SvTable {
 
   size_t RecordCount() const { return index_.Size(); }
 
-  /// Applies `fn(const K&, const Rec&)` to every record, live or ABSENT
+  /// Applies `fn(const K&, const Object&)` to every record, live or ABSENT
   /// (weakly consistent under concurrent inserts); state digests filter
   /// visibility themselves.
   template <typename Fn>
   void ForEachRecord(Fn&& fn) const {
-    index_.ForEach([&fn](const K& k, Rec* r) { fn(k, *r); });
+    index_.ForEach([&fn](const K& k, Object* r) { fn(k, *r); });
   }
 
   /// Durability identity, mirroring TableBase::wal_id on the MVCC side:
@@ -157,21 +201,20 @@ class SvTable {
   /// VersionArena's held_bytes, reported by bench/overhead_memory.
   size_t ApproxArenaBytes() const {
     SpinLockGuard g(arena_lock_);
-    return arena_.size() * sizeof(Rec);
+    return arena_.size() * sizeof(Object);
   }
 
  private:
-  Rec* Allocate(const K& key) {
+  Object* Allocate(const K& key) {
     SpinLockGuard g(arena_lock_);
-    arena_.emplace_back();
-    arena_.back().key = key;
+    arena_.emplace_back(key);
     return &arena_.back();
   }
 
   const std::string name_;
-  CuckooMap<K, Rec*> index_;
+  CuckooMap<K, Object*> index_;
   mutable SpinLock arena_lock_;
-  std::deque<Rec> arena_ MV3C_GUARDED_BY(arena_lock_);
+  std::deque<Object> arena_ MV3C_GUARDED_BY(arena_lock_);
   /// Registration-phase metadata: set_wal_id runs while the catalog wires
   /// tables to the log, before any worker starts; read-only afterwards.
   // mv3c-lint: allow(guarded_by_coverage)

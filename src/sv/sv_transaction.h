@@ -4,10 +4,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "common/column_mask.h"
 #include "common/macros.h"
 #include "common/status.h"
+#include "mvcc/predicate.h"    // ScanResultEntry
+#include "mvcc/transaction.h"  // WriteStatus, WwPolicy
 #include "sv/sv_table.h"
 
 namespace mv3c::sv {
@@ -28,11 +32,11 @@ struct SvNode {
 };
 
 /// Write-set entry. Row images live in the transaction's byte arena and
-/// are installed with memcpy while the record is locked.
+/// are installed with StorePayload while the record is locked.
 struct SvWrite {
   enum class Op : uint8_t { kUpdate, kInsert, kDelete };
   std::atomic<uint64_t>* tid_word;
-  void* dst;
+  std::atomic<uint64_t>* dst;  // the record's payload words
   size_t size;
   size_t buf_offset;
   Op op;
@@ -46,29 +50,28 @@ struct SvWrite {
 
 /// The read phase of a single-version optimistic transaction: collects
 /// read, node and write sets; the commit protocol (OCC or SILO) consumes
-/// them. Transaction programs are `ExecStatus(SvTransaction&)` callables,
-/// shared verbatim between the two engines.
+/// them.
+///
+/// Programs are the MV3C DSL programs (mv3c_transaction.h), run inline as
+/// OmvccTransaction runs them: each read calls its closure immediately and
+/// nothing is stored but the read, node and write sets. Writes are
+/// buffered until commit, so there is no write-write conflict to detect
+/// during execution; an InsertRow that finds a live key reports one, and
+/// the executor retries the round.
+///
+/// A transaction may read and write one record any number of times: a
+/// read of a record in the write set returns the latest buffered image
+/// (read-your-own-writes), so a TPC-C New-Order naming the same stock row
+/// twice applies both lines' updates, and every write is buffered and
+/// installed in program order.
 ///
 /// Row images are bump-allocated into a per-transaction byte arena that is
 /// reused across transactions — the single-version mirror of the MVCC
 /// VersionArena (DESIGN §5c): the hot path never touches the system
 /// allocator, and Clear() bounds the retained capacity so one oversized
-/// transaction cannot pin memory forever. WriteArenaStats tracks the churn
-/// for the overhead_memory benchmark.
-///
-/// Constraint (holds for all TPC-C programs here): a transaction reads a
-/// record before writing it and writes each record at most once; reads
-/// after writes of the same record are not buffered.
+/// transaction cannot pin memory forever.
 class SvTransaction {
  public:
-  /// Undo/write-buffer churn counters; mirrors VersionArena::Stats for the
-  /// single-version engines.
-  struct WriteArenaStats {
-    uint64_t bytes_pushed = 0;  // cumulative row-image bytes buffered
-    uint64_t peak_bytes = 0;    // largest single-transaction buffer
-    uint64_t shrinks = 0;       // capacity releases at Clear()
-  };
-
   /// Retained-capacity bound: a transaction whose write buffer grew past
   /// this is released back to the allocator at Clear() instead of kept.
   static constexpr size_t kMaxRetainedArenaBytes = 64 * 1024;
@@ -77,155 +80,196 @@ class SvTransaction {
   SvTransaction(const SvTransaction&) = delete;
   SvTransaction& operator=(const SvTransaction&) = delete;
 
-  /// Reads `key`; returns true and fills `*out` if a live row exists. The
-  /// observation is recorded either way.
-  template <typename TableT>
-  bool Read(const TableT& table, const typename TableT::Key& key,
-            typename TableT::Row* out,
-            typename TableT::Rec** rec_out = nullptr) {
-    typename TableT::Rec* rec = table.Find(key);
-    if (rec == nullptr) {
-      // Key never existed: nothing to observe. A concurrent insert will be
-      // caught by the node set if the access came from a scan; point
-      // lookups of never-inserted keys are stable in our workloads.
-      if (rec_out != nullptr) *rec_out = nullptr;
-      return false;
+  /// Point lookup by primary key; calls `closure(*this, object, row)` as
+  /// Mv3cTransaction::Lookup does, with `row` nullptr if the row is absent.
+  /// A key that was never inserted gets an ABSENT record, so its
+  /// non-existence is validated like any other read.
+  template <typename TableT, typename Closure>
+  ExecStatus Lookup(TableT& table, const typename TableT::Key& key,
+                    ColumnMask /*monitored*/, Closure&& closure) {
+    typename TableT::Object* rec = table.GetOrCreate(key);
+    typename TableT::Row row;
+    const bool live = ReadRecord(rec, &row);
+    return closure(*this, rec, live ? &row : nullptr);
+  }
+
+  /// Ordered-index range scan, arguments as in Mv3cTransaction::RangeScan.
+  /// The shard version is observed before the scan (phantom validation
+  /// replaces the MVCC key-range predicate, so `extract` and `monitored`
+  /// are unused); every visited record joins the read set, and ABSENT rows
+  /// are skipped before `limit` applies, so a reverse limit-1 scan falls
+  /// through to the newest live row.
+  template <typename TableT, typename IndexT, typename Extract,
+            typename Closure>
+  ExecStatus RangeScan(
+      TableT& /*table*/, const IndexT& index,
+      const typename IndexT::KeyType& lo, const typename IndexT::KeyType& hi,
+      Extract&& /*extract*/,
+      std::function<bool(const typename TableT::Row&)> filter,
+      ColumnMask /*monitored*/, size_t limit, bool reverse,
+      Closure&& closure) {
+    const std::atomic<uint64_t>& version = index.ShardVersionRef(lo);
+    nodes_.push_back({&version, version.load(std::memory_order_acquire)});
+    std::vector<ScanResultEntry<TableT>> entries;
+    auto visit = [&](const typename IndexT::KeyType&,
+                     typename TableT::Object* rec) -> bool {
+      typename TableT::Row row;
+      if (!ReadRecord(rec, &row)) return true;
+      if (filter != nullptr && !filter(row)) return true;
+      entries.push_back({rec, row});
+      return limit == 0 || entries.size() < limit;
+    };
+    if (reverse) {
+      index.ScanRangeReverse(lo, hi, visit);
+    } else {
+      index.ScanRange(lo, hi, visit);
     }
-    const uint64_t w = rec->ReadStable(out);
-    reads_.push_back({&rec->tid, w});
-    if (rec_out != nullptr) *rec_out = rec;
-    return !IsAbsent(w);
+    return closure(*this, entries);
   }
 
-  /// Buffers an update of a record previously read.
+  /// Buffers an update. Single-version writes are whole-row and always
+  /// deferred to commit, so the MV3C program's column mask, `blind` flag
+  /// and per-operation policy are ignored.
   template <typename TableT>
-  void Update(TableT& table, typename TableT::Rec* rec,
-              const typename TableT::Row& new_row) {
-    const size_t off = Push(&new_row, sizeof(new_row));
-    writes_.push_back({&rec->tid, &rec->row, sizeof(new_row), off,
-                       SvWrite::Op::kUpdate, table.wal_id(),
-                       static_cast<uint32_t>(sizeof(rec->key)), &rec->key});
+  ExecStatus UpdateRow(TableT& table, typename TableT::Object* rec,
+                       const typename TableT::Row& new_row,
+                       ColumnMask /*modified*/, bool /*blind*/ = false,
+                       std::optional<WwPolicy> /*policy_override*/ = {}) {
+    Buffer(table, rec, &new_row, SvWrite::Op::kUpdate);
+    return ExecStatus::kOk;
   }
 
-  /// Buffers an insert; returns false if a live row with the key exists in
-  /// the current snapshot (the observation is registered, so a racing
-  /// insert is caught at validation).
+  /// Buffers an insert; returns kDuplicateKey if a live row with the key
+  /// exists (the observation is registered either way, so a racing insert
+  /// is caught at validation).
   template <typename TableT>
-  bool Insert(TableT& table, const typename TableT::Key& key,
-              const typename TableT::Row& row,
-              typename TableT::Rec** rec_out = nullptr) {
-    typename TableT::Rec* rec = table.GetOrCreate(key);
-    typename TableT::Row ignored;
-    const uint64_t w = rec->ReadStable(&ignored);
-    reads_.push_back({&rec->tid, w});
-    if (!IsAbsent(w)) return false;
-    const size_t off = Push(&row, sizeof(row));
-    writes_.push_back({&rec->tid, &rec->row, sizeof(row), off,
-                       SvWrite::Op::kInsert, table.wal_id(),
-                       static_cast<uint32_t>(sizeof(rec->key)), &rec->key});
-    if (rec_out != nullptr) *rec_out = rec;
-    return true;
+  WriteStatus InsertRow(TableT& table, const typename TableT::Key& key,
+                        const typename TableT::Row& row,
+                        typename TableT::Object** out_obj = nullptr) {
+    typename TableT::Object* rec = table.GetOrCreate(key);
+    typename TableT::Row current;
+    if (ReadRecord(rec, &current)) return WriteStatus::kDuplicateKey;
+    Buffer(table, rec, &row, SvWrite::Op::kInsert);
+    if (out_obj != nullptr) *out_obj = rec;
+    return WriteStatus::kOk;
   }
 
   /// Buffers a delete of a record previously read.
   template <typename TableT>
-  void Delete(TableT& table, typename TableT::Rec* rec) {
-    writes_.push_back({&rec->tid, &rec->row, 0, 0, SvWrite::Op::kDelete,
-                       table.wal_id(),
-                       static_cast<uint32_t>(sizeof(rec->key)), &rec->key});
+  ExecStatus DeleteRow(TableT& table, typename TableT::Object* rec) {
+    Buffer<TableT>(table, rec, nullptr, SvWrite::Op::kDelete);
+    return ExecStatus::kOk;
   }
 
-  /// Registers an index-shard version for phantom validation.
-  void ObserveNode(const std::atomic<uint64_t>* version) {
-    nodes_.push_back({version, version->load(std::memory_order_acquire)});
-  }
-
-  /// Registers a callback to run after the writes are installed (while the
-  /// commit still holds the records locked under SILO / the mutex under
-  /// OCC); used for secondary-index insertions of new rows.
-  void OnInstall(std::function<void()> fn) {
-    install_hooks_.push_back(std::move(fn));
-  }
-
-  std::vector<SvRead>& reads() { return reads_; }
-  std::vector<SvNode>& nodes() { return nodes_; }
-  std::vector<SvWrite>& writes() { return writes_; }
+  const std::vector<SvRead>& reads() const { return reads_; }
+  const std::vector<SvNode>& nodes() const { return nodes_; }
   const std::vector<SvWrite>& writes() const { return writes_; }
-  const std::vector<std::function<void()>>& install_hooks() const {
-    return install_hooks_;
-  }
   const uint8_t* arena() const { return arena_.data(); }
-  const WriteArenaStats& arena_stats() const { return arena_stats_; }
 
   void Clear() {
     reads_.clear();
     nodes_.clear();
+    for (const SvWrite& w : writes_) {
+      const size_t bit = FilterBit(w.tid_word);
+      write_filter_[bit / 64] &= ~(1ULL << (bit % 64));
+    }
     writes_.clear();
-    install_hooks_.clear();
     if (arena_.capacity() > kMaxRetainedArenaBytes) {
       arena_ = {};
       arena_.reserve(4096);
-      ++arena_stats_.shrinks;
     } else {
       arena_.clear();
     }
   }
 
-  /// True if the write entry's record is also in this transaction's write
-  /// set (used by SILO read validation: locked-by-me is fine).
+  /// True if the record owning `word` is in this transaction's write set
+  /// (used by SILO read validation: locked-by-me is fine).
   bool WritesWord(const std::atomic<uint64_t>* word) const {
-    for (const SvWrite& w : writes_) {
-      if (w.tid_word == word) return true;
+    return LastWrite(word) != nullptr;
+  }
+
+  /// The newest write-set entry for `word`, or nullptr. Most reads touch
+  /// records the transaction never wrote (a Delivery scans every delivered
+  /// NEW-ORDER ghost of its districts), so a Bloom filter over the write
+  /// set answers them without walking it.
+  const SvWrite* LastWrite(const std::atomic<uint64_t>* word) const {
+    const size_t bit = FilterBit(word);
+    if ((write_filter_[bit / 64] & (1ULL << (bit % 64))) == 0) return nullptr;
+    for (size_t i = writes_.size(); i > 0; --i) {
+      if (writes_[i - 1].tid_word == word) return &writes_[i - 1];
     }
-    return false;
+    return nullptr;
   }
 
  private:
+  /// Reads `rec` for this transaction into `*out`: the latest buffered
+  /// image if the transaction wrote the record, otherwise a stable
+  /// committed snapshot whose TID word joins the read set. Returns false
+  /// if the row is absent or deleted.
+  template <typename Object, typename Row>
+  bool ReadRecord(Object* rec, Row* out) {
+    if (const SvWrite* w = LastWrite(&rec->tid)) {
+      if (w->op == SvWrite::Op::kDelete) return false;
+      std::memcpy(out, arena_.data() + w->buf_offset, sizeof(Row));
+      return true;
+    }
+    const uint64_t word = rec->ReadStable(out);
+    reads_.push_back({&rec->tid, word});
+    return !IsAbsent(word);
+  }
+
+  template <typename TableT>
+  void Buffer(TableT& table, typename TableT::Object* rec,
+              const typename TableT::Row* row, SvWrite::Op op) {
+    const size_t size = row == nullptr ? 0 : sizeof(*row);
+    const size_t off = row == nullptr ? 0 : Push(row, size);
+    writes_.push_back({&rec->tid, rec->payload(), size, off, op,
+                       table.wal_id(),
+                       static_cast<uint32_t>(sizeof(rec->key())),
+                       &rec->key()});
+    const size_t bit = FilterBit(&rec->tid);
+    write_filter_[bit / 64] |= 1ULL << (bit % 64);
+  }
+
+  // 8192 bits keep a Delivery's ~130 writes at a ~2% false-positive
+  // rate; Clear() resets only the bits its writes set.
+  static constexpr int kFilterLog2 = 13;
+  static size_t FilterBit(const void* p) {
+    return static_cast<size_t>((reinterpret_cast<uintptr_t>(p) >> 3) *
+                               0x9E3779B97F4A7C15ULL) >>
+           (64 - kFilterLog2);
+  }
+
   size_t Push(const void* src, size_t n) {
     const size_t off = arena_.size();
     arena_.resize(off + n);
     std::memcpy(arena_.data() + off, src, n);
-    arena_stats_.bytes_pushed += n;
-    if (arena_.size() > arena_stats_.peak_bytes) {
-      arena_stats_.peak_bytes = arena_.size();
-    }
     return off;
   }
 
   std::vector<SvRead> reads_;
   std::vector<SvNode> nodes_;
   std::vector<SvWrite> writes_;
-  std::vector<std::function<void()>> install_hooks_;
+  uint64_t write_filter_[(size_t{1} << kFilterLog2) / 64] = {};
   std::vector<uint8_t> arena_;
-  WriteArenaStats arena_stats_;
 };
 
 /// Installs the write set at `commit_tid`; every record must be locked (or
 /// the caller must hold the global validation mutex).
-inline void InstallWrites(SvTransaction& t, uint64_t commit_tid) {
-  const auto& writes = t.writes();
-  for (size_t i = 0; i < writes.size(); ++i) {
-    const SvWrite& w = writes[i];
+inline void InstallWrites(const SvTransaction& t, uint64_t commit_tid) {
+  for (const SvWrite& w : t.writes()) {
     if (w.op != SvWrite::Op::kDelete) {
-      std::memcpy(w.dst, t.arena() + w.buf_offset, w.size);
+      StorePayload(w.dst, t.arena() + w.buf_offset, w.size);
     }
     // If a later entry targets the same record (a transaction may write a
     // record more than once), defer the TID publication — publishing now
-    // would drop the lock while the later memcpy is still pending and let
+    // would drop the lock while the later copy is still pending and let
     // readers accept a torn row.
-    bool later_write_same_record = false;
-    for (size_t j = i + 1; j < writes.size(); ++j) {
-      if (writes[j].tid_word == w.tid_word) {
-        later_write_same_record = true;
-        break;
-      }
-    }
-    if (later_write_same_record) continue;
+    if (t.LastWrite(w.tid_word) != &w) continue;
     uint64_t word = commit_tid;
     if (w.op == SvWrite::Op::kDelete) word |= kAbsentBit;
     w.tid_word->store(word, std::memory_order_release);
   }
-  for (const auto& hook : t.install_hooks()) hook();
 }
 
 }  // namespace mv3c::sv

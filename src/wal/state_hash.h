@@ -67,16 +67,16 @@ TableDigest DigestMvccTable(const TableT& table) {
 }
 
 /// Digest of a single-version table's live rows. Must not run concurrently
-/// with writers (rows are read without the optimistic protocol).
+/// with writers.
 template <typename SvTableT>
 TableDigest DigestSvTable(const SvTableT& table) {
   using K = typename SvTableT::Key;
   using Row = typename SvTableT::Row;
   TableDigest d;
   table.ForEachRecord([&](const K& key, const sv::Record<K, Row>& rec) {
-    if (sv::IsAbsent(rec.tid.load(std::memory_order_relaxed))) return;
-    d.hash += digest_internal::RowHash(&key, sizeof(K), &rec.row,
-                                       sizeof(Row));
+    Row row;
+    if (sv::IsAbsent(rec.ReadStable(&row))) return;
+    d.hash += digest_internal::RowHash(&key, sizeof(K), &row, sizeof(Row));
     ++d.live_rows;
   });
   return d;

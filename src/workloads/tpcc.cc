@@ -1,11 +1,13 @@
 #include "workloads/tpcc.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 
 #include "common/macros.h"
+#include "occ/occ_engine.h"
+#include "silo/silo_engine.h"
+#include "sv/sv_executor.h"
 
 namespace mv3c::tpcc {
 
@@ -13,13 +15,61 @@ namespace {
 
 constexpr ColumnMask kAllCols = ColumnMask::All();
 
-/// Reads the latest committed row of an object; only valid when callers
-/// tolerate an instantaneous snapshot (loaders, consistency checks).
-template <typename TableT>
-const typename TableT::Row* LatestRow(typename TableT::Object* obj) {
-  if (obj == nullptr) return nullptr;
-  const auto* v = obj->ReadVisible(kTxnIdBase - 1, 0);
-  return v == nullptr ? nullptr : &v->data();
+/// Writes population rows into one storage. `Batch(fill)` calls
+/// `fill(put)`, where `put(table, key, row)` stores one row: the MVCC
+/// storage commits each batch as one MV3C transaction, the single-version
+/// storage writes rows in place at TID 1.
+template <typename Storage>
+class RowLoader;
+
+template <>
+class RowLoader<MvccStorage> {
+ public:
+  explicit RowLoader(TransactionManager* mgr) : exec_(mgr) {}
+  template <typename Fill>
+  void Batch(Fill&& fill) {
+    exec_.MustRun([&](Mv3cTransaction& t) {
+      fill([&t](auto& table, uint64_t key, const auto& row) {
+        (void)t.InsertRow(table, key, row);
+      });
+      return ExecStatus::kOk;
+    });
+  }
+
+ private:
+  Mv3cExecutor exec_;
+};
+
+template <>
+class RowLoader<SvStorage> {
+ public:
+  explicit RowLoader(TransactionManager*) {}
+  template <typename Fill>
+  void Batch(Fill&& fill) {
+    fill([](auto& table, uint64_t key, const auto& row) {
+      table.LoadRow(key, row);
+    });
+  }
+};
+
+/// Reads the latest committed row of `key` into `*out`; false if there is
+/// none. Only valid when callers tolerate an instantaneous snapshot
+/// (consistency checks).
+template <typename Row>
+bool LatestRow(const MvccStorage::Table<Row>& table, uint64_t key,
+               Row* out) {
+  const auto* obj = table.Find(key);
+  const auto* v =
+      obj == nullptr ? nullptr : obj->ReadVisible(kTxnIdBase - 1, 0);
+  if (v == nullptr) return false;
+  *out = v->data();
+  return true;
+}
+
+template <typename Row>
+bool LatestRow(const SvStorage::Table<Row>& table, uint64_t key, Row* out) {
+  const auto* rec = table.Find(key);
+  return rec != nullptr && !sv::IsAbsent(rec->ReadStable(out));
 }
 
 }  // namespace
@@ -28,61 +78,54 @@ const typename TableT::Row* LatestRow(typename TableT::Object* obj) {
 // Loader
 // ---------------------------------------------------------------------------
 
-void TpccDb::Load(uint64_t seed) {
+template <typename Storage>
+void TpccDatabase<Storage>::Load(uint64_t seed) {
   Xoshiro256 rng(seed);
-  Mv3cExecutor loader(mgr_);
+  RowLoader<Storage> loader(mgr_);
   const TpccScale& s = scale_;
-  const bool dbg = std::getenv("MV3C_LOAD_DEBUG") != nullptr;
 
   // ITEM: shared across warehouses.
   for (uint64_t base = 1; base <= s.n_items; base += 4096) {
-    loader.MustRun([&](Mv3cTransaction& t) {
+    loader.Batch([&](auto put) {
       const uint64_t end = std::min(s.n_items, base + 4095);
       for (uint64_t i = base; i <= end; ++i) {
         ItemRow row;
         row.price = 100 + static_cast<int64_t>(rng.NextBounded(9900));
         row.im_id = static_cast<uint32_t>(1 + rng.NextBounded(10000));
-        t.InsertRow(items, i, row);
+        put(items, i, row);
       }
-      return ExecStatus::kOk;
     });
   }
 
-  if (dbg) std::fprintf(stderr, "[load] items done\n");
   for (uint64_t w = 1; w <= s.n_warehouses; ++w) {
-    loader.MustRun([&](Mv3cTransaction& t) {
+    loader.Batch([&](auto put) {
       WarehouseRow wr;
       wr.tax = static_cast<int32_t>(rng.NextBounded(2001));
       wr.ytd = 30000000;  // 300,000.00
-      t.InsertRow(warehouses, w, wr);
-      return ExecStatus::kOk;
+      put(warehouses, w, wr);
     });
     // STOCK.
     for (uint64_t base = 1; base <= s.n_items; base += 2048) {
-      loader.MustRun([&](Mv3cTransaction& t) {
+      loader.Batch([&](auto put) {
         const uint64_t end = std::min(s.n_items, base + 2047);
         for (uint64_t i = base; i <= end; ++i) {
           StockRow row;
           row.quantity = static_cast<int32_t>(10 + rng.NextBounded(91));
-          t.InsertRow(stock, StockKey(w, i), row);
+          put(stock, StockKey(w, i), row);
         }
-        return ExecStatus::kOk;
       });
     }
-    if (dbg) std::fprintf(stderr, "[load] stock done w=%llu\n", (unsigned long long)w);
     for (uint64_t d = 1; d <= s.n_districts; ++d) {
-      if (dbg) std::fprintf(stderr, "[load] district %llu\n", (unsigned long long)d);
-      loader.MustRun([&](Mv3cTransaction& t) {
+      loader.Batch([&](auto put) {
         DistrictRow dr;
         dr.tax = static_cast<int32_t>(rng.NextBounded(2001));
         dr.ytd = 3000000;  // 30,000.00
         dr.next_o_id = static_cast<uint32_t>(s.preload_orders_per_d + 1);
-        t.InsertRow(districts, DistrictKey(w, d), dr);
-        return ExecStatus::kOk;
+        put(districts, DistrictKey(w, d), dr);
       });
       // CUSTOMER + HISTORY.
       for (uint64_t base = 1; base <= s.n_customers_per_d; base += 1024) {
-        loader.MustRun([&](Mv3cTransaction& t) {
+        loader.Batch([&](auto put) {
           const uint64_t end = std::min(s.n_customers_per_d, base + 1023);
           for (uint64_t c = base; c <= end; ++c) {
             CustomerRow row;
@@ -95,7 +138,7 @@ void TpccDb::Load(uint64_t seed) {
             row.discount = static_cast<int32_t>(rng.NextBounded(5001));
             row.bad_credit = rng.NextBounded(100) < 10;
             const uint64_t key = CustomerKey(w, d, c);
-            t.InsertRow(customers, key, row);
+            put(customers, key, row);
             MV3C_CHECK(customers_by_name.Insert(
                 {DistrictKey(w, d), row.last_name_id, key},
                 customers.Find(key)));
@@ -103,9 +146,8 @@ void TpccDb::Load(uint64_t seed) {
             h.c_key = key;
             h.d_key = DistrictKey(w, d);
             h.amount = 1000;
-            t.InsertRow(history, NextHistoryKey(), h);
+            put(history, NextHistoryKey(), h);
           }
-          return ExecStatus::kOk;
         });
       }
       // ORDER / ORDER-LINE / NEW-ORDER preload: customers in a random
@@ -115,10 +157,8 @@ void TpccDb::Load(uint64_t seed) {
       for (size_t i = perm.size(); i > 1; --i) {
         std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
       }
-      if (dbg) std::fprintf(stderr, "[load] customers done d=%llu\n", (unsigned long long)d);
       for (uint64_t base = 1; base <= s.preload_orders_per_d; base += 256) {
-        if (dbg) std::fprintf(stderr, "[load] orders base=%llu\n", (unsigned long long)base);
-        loader.MustRun([&](Mv3cTransaction& t) {
+        loader.Batch([&](auto put) {
           const uint64_t end = std::min(s.preload_orders_per_d, base + 255);
           for (uint64_t o = base; o <= end; ++o) {
             const bool delivered =
@@ -132,7 +172,7 @@ void TpccDb::Load(uint64_t seed) {
                 delivered ? static_cast<int32_t>(1 + rng.NextBounded(10))
                           : -1;
             const uint64_t okey = OrderKey(w, d, o);
-            t.InsertRow(orders, okey, orow);
+            put(orders, okey, orow);
             MV3C_CHECK(orders_by_customer.Insert(CustomerOrderKey(w, d, c, o),
                                                  orders.Find(okey)));
             for (uint8_t ol = 1; ol <= orow.ol_cnt; ++ol) {
@@ -146,23 +186,28 @@ void TpccDb::Load(uint64_t seed) {
                             : static_cast<int64_t>(1 +
                                                    rng.NextBounded(999999));
               const uint64_t lkey = OrderLineKey(w, d, o, ol);
-              t.InsertRow(order_lines, lkey, lrow);
+              put(order_lines, lkey, lrow);
               MV3C_CHECK(order_lines_by_district.Insert(
                   lkey, order_lines.Find(lkey)));
             }
             if (!delivered) {
-              t.InsertRow(new_orders, okey, NewOrderRow{});
+              put(new_orders, okey, NewOrderRow{});
               MV3C_CHECK(new_order_queue.Insert(okey, new_orders.Find(okey)));
             }
           }
-          return ExecStatus::kOk;
         });
       }
     }
   }
 }
 
-size_t TpccDb::CleanupNewOrderQueue() {
+template void TpccDatabase<MvccStorage>::Load(uint64_t);
+template void TpccDatabase<SvStorage>::Load(uint64_t);
+
+template <typename Storage>
+size_t TpccDatabase<Storage>::CleanupNewOrderQueue()
+  requires kMultiVersion
+{
   // An entry is removable when no active transaction could still see the
   // row: every version is committed and the newest committed one is a
   // tombstone older than the GC watermark. NEW-ORDER keys are never
@@ -174,7 +219,7 @@ size_t TpccDb::CleanupNewOrderQueue() {
       std::vector<uint64_t> ghosts;
       new_order_queue.ScanRange(
           OrderKey(w, d, 0), OrderKey(w, d, kMaxOrdersPerD - 1),
-          [&](uint64_t key, NewOrderTable::Object* obj) {
+          [&](uint64_t key, auto* obj) {
             // Stop at the first live (or possibly-live) entry: the queue
             // is delivered in order, so everything after it is live too.
             const VersionBase* newest = obj->head();
@@ -199,6 +244,8 @@ size_t TpccDb::CleanupNewOrderQueue() {
   }
   return removed;
 }
+
+template size_t TpccDatabase<MvccStorage>::CleanupNewOrderQueue();
 
 // ---------------------------------------------------------------------------
 // Generator
@@ -256,7 +303,7 @@ TpccParams TpccGenerator::Next() {
 }
 
 // ---------------------------------------------------------------------------
-// Transaction programs (one DSL body each, for both MVCC engines)
+// Transaction programs (one DSL body each, for all four engines)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -274,21 +321,21 @@ size_t MiddleIndex(const Entries& entries) {
 // instead of re-copying the ~0.5 KB parameter block at each nesting level
 // (§6.2's low overhead depends on cheap closure captures).
 
-template <typename Txn>
-ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
+template <typename Txn, typename Db>
+ExecStatus NewOrderBody(Txn& t, Db& db, const TpccParams* p) {
   // Nesting: warehouse ⊃ customer ⊃ district ⊃ (per item: item ⊃ stock).
   // The hot repairable conflicts (stock updates) sit at the innermost
   // level; the district bump's ORDER/NEW-ORDER key collisions fail fast.
   return t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWTax),
-      [&db, p](auto& t, WarehouseTable::Object*,
+      [&db, p](auto& t, auto*,
                const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         const int32_t w_tax = w->tax;
         return t.Lookup(
             db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
             ColumnMask::Of(kColCInfo),
-            [&db, p, w_tax](auto& t, CustomerTable::Object*,
+            [&db, p, w_tax](auto& t, auto*,
                             const CustomerRow* c) -> ExecStatus {
               if (c == nullptr) return ExecStatus::kUserAbort;
               const int32_t c_disc = c->discount;
@@ -296,7 +343,7 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                   db.districts, DistrictKey(p->w_id, p->d_id),
                   ColumnMask::Of(kColDTax) | ColumnMask::Of(kColDNextOid),
                   [&db, p, w_tax, c_disc](
-                      auto& t, DistrictTable::Object* dobj,
+                      auto& t, auto* dobj,
                       const DistrictRow* d) -> ExecStatus {
                     if (d == nullptr) return ExecStatus::kUserAbort;
                     const uint64_t o_id = d->next_o_id;
@@ -324,7 +371,7 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                       }
                     }
                     const uint64_t okey = OrderKey(p->w_id, p->d_id, o_id);
-                    OrderTable::Object* oobj = nullptr;
+                    typename Db::OrderTable::Object* oobj = nullptr;
                     if (t.InsertRow(db.orders, okey, orow, &oobj) !=
                         WriteStatus::kOk) {
                       return ExecStatus::kWriteWriteConflict;
@@ -334,7 +381,7 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                     (void)db.orders_by_customer.Insert(
                         CustomerOrderKey(p->w_id, p->d_id, p->c_id, o_id),
                         oobj);
-                    NewOrderTable::Object* nobj = nullptr;
+                    typename Db::NewOrderTable::Object* nobj = nullptr;
                     if (t.InsertRow(db.new_orders, okey, NewOrderRow{},
                                     &nobj) != WriteStatus::kOk) {
                       return ExecStatus::kWriteWriteConflict;
@@ -345,7 +392,7 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                       st = t.Lookup(
                           db.items, p->items[i].i_id, kAllCols,
                           [&db, p, w_tax, c_disc, o_id, ol_number](
-                              auto& t, ItemTable::Object*,
+                              auto& t, auto*,
                               const ItemRow* item) -> ExecStatus {
                             if (item == nullptr) {
                               return ExecStatus::kUserAbort;  // 1% rule
@@ -358,7 +405,7 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                                 [&db, p, w_tax, c_disc, o_id, price,
                                  ol_number](
                                     auto& t,
-                                    StockTable::Object* sobj,
+                                    auto* sobj,
                                     const StockRow* s) -> ExecStatus {
                                   if (s == nullptr) {
                                     return ExecStatus::kUserAbort;
@@ -394,7 +441,8 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
                                   const uint64_t lkey =
                                       OrderLineKey(p->w_id, p->d_id, o_id,
                                                    ol_number + 1);
-                                  OrderLineTable::Object* lobj = nullptr;
+                                  typename Db::OrderLineTable::Object*
+                                      lobj = nullptr;
                                   if (t.InsertRow(db.order_lines, lkey, ol,
                                                   &lobj) !=
                                       WriteStatus::kOk) {
@@ -413,14 +461,14 @@ ExecStatus NewOrderBody(Txn& t, TpccDb& db, const TpccParams* p) {
       });
 }
 
-template <typename Txn>
-ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
+template <typename Txn, typename Db>
+ExecStatus PaymentBody(Txn& t, Db& db, const TpccParams* p) {
   // Three independent roots (disjoint failure units, Figure 1(a)): the
   // warehouse YTD bump, the district YTD bump, and the customer payment
   // (with the HISTORY insert nested under the customer).
   ExecStatus st = t.Lookup(
       db.warehouses, p->w_id, ColumnMask::Of(kColWYtd),
-      [&db, p](auto& t, WarehouseTable::Object* wobj,
+      [&db, p](auto& t, auto* wobj,
                const WarehouseRow* w) -> ExecStatus {
         if (w == nullptr) return ExecStatus::kUserAbort;
         WarehouseRow wn = *w;
@@ -431,7 +479,7 @@ ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
   if (st != ExecStatus::kOk) return st;
   st = t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id), ColumnMask::Of(kColDYtd),
-      [&db, p](auto& t, DistrictTable::Object* dobj,
+      [&db, p](auto& t, auto* dobj,
                const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         DistrictRow dn = *d;
@@ -441,7 +489,7 @@ ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
   if (st != ExecStatus::kOk) return st;
 
   auto pay_customer = [&db, p](auto& t,
-                               CustomerTable::Object* cobj,
+                               auto* cobj,
                                const CustomerRow& c,
                                uint64_t c_key) -> ExecStatus {
     CustomerRow cn = c;
@@ -481,7 +529,7 @@ ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
         [pay_customer](auto& t,
-                       const std::vector<ScanEntry<CustomerTable>>& rs)
+                       const auto& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const auto& e = rs[MiddleIndex(rs)];
@@ -492,15 +540,15 @@ ExecStatus PaymentBody(Txn& t, TpccDb& db, const TpccParams* p) {
   return t.Lookup(
       db.customers, c_key,
       ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance),
-      [pay_customer, c_key](auto& t, CustomerTable::Object* obj,
+      [pay_customer, c_key](auto& t, auto* obj,
                             const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return pay_customer(t, obj, *c, c_key);
       });
 }
 
-template <typename Txn>
-ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
+template <typename Txn, typename Db>
+ExecStatus OrderStatusBody(Txn& t, Db& db, const TpccParams* p) {
   auto status_of = [&db, p](auto& t, uint64_t c_id) -> ExecStatus {
     return t.RangeScan(
         db.orders, db.orders_by_customer,
@@ -509,7 +557,7 @@ ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
         [](const uint64_t& key, const OrderRow&) { return key; }, nullptr,
         ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo), 1, true,
         [&db, p](auto& t,
-                 const std::vector<ScanEntry<OrderTable>>& rs) -> ExecStatus {
+                 const auto& rs) -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const uint64_t o_id = rs[0].object->key() % kMaxOrdersPerD;
           return t.RangeScan(
@@ -519,7 +567,7 @@ ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
               [](const uint64_t& key, const OrderLineRow&) { return key; },
               nullptr, ColumnMask::Of(kColOlInfo), 0, false,
               [](auto&,
-                 const std::vector<ScanEntry<OrderLineTable>>& lines)
+                 const auto& lines)
                   -> ExecStatus {
                 int64_t total = 0;
                 for (const auto& l : lines) total += l.row.amount;
@@ -541,7 +589,7 @@ ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
         nullptr, ColumnMask::Of(kColCInfo) | ColumnMask::Of(kColCBalance), 0,
         false,
         [status_of](auto& t,
-                    const std::vector<ScanEntry<CustomerTable>>& rs)
+                    const auto& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kUserAbort;
           const auto& e = rs[MiddleIndex(rs)];
@@ -551,15 +599,15 @@ ExecStatus OrderStatusBody(Txn& t, TpccDb& db, const TpccParams* p) {
   return t.Lookup(
       db.customers, CustomerKey(p->w_id, p->d_id, p->c_id),
       ColumnMask::Of(kColCBalance),
-      [p, status_of](auto& t, CustomerTable::Object*,
+      [p, status_of](auto& t, auto*,
                      const CustomerRow* c) -> ExecStatus {
         if (c == nullptr) return ExecStatus::kUserAbort;
         return status_of(t, p->c_id);
       });
 }
 
-template <typename Txn>
-ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
+template <typename Txn, typename Db>
+ExecStatus DeliveryBody(Txn& t, Db& db, const TpccParams* p) {
   for (uint64_t d = 1; d <= db.scale().n_districts; ++d) {
     const ExecStatus st = t.RangeScan(
         db.new_orders, db.new_order_queue, OrderKey(p->w_id, d, 0),
@@ -567,10 +615,10 @@ ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
         [](const uint64_t& key, const NewOrderRow&) { return key; }, nullptr,
         kAllCols, 1, false,
         [&db, p, d](auto& t,
-                    const std::vector<ScanEntry<NewOrderTable>>& rs)
+                    const auto& rs)
             -> ExecStatus {
           if (rs.empty()) return ExecStatus::kOk;  // nothing to deliver
-          NewOrderTable::Object* nobj = rs[0].object;
+          auto* nobj = rs[0].object;
           const uint64_t okey = nobj->key();
           const uint64_t o_id = okey % kMaxOrdersPerD;
           ExecStatus st2 = t.DeleteRow(db.new_orders, nobj);
@@ -578,7 +626,7 @@ ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
           return t.Lookup(
               db.orders, okey,
               ColumnMask::Of(kColOCarrier) | ColumnMask::Of(kColOInfo),
-              [&db, p, d, o_id](auto& t, OrderTable::Object* oobj,
+              [&db, p, d, o_id](auto& t, auto* oobj,
                                 const OrderRow* o) -> ExecStatus {
                 if (o == nullptr) return ExecStatus::kUserAbort;
                 OrderRow on = *o;
@@ -600,7 +648,7 @@ ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
                     0, false,
                     [&db, p, d, c_id](
                         auto& t,
-                        const std::vector<ScanEntry<OrderLineTable>>& lines)
+                        const auto& lines)
                         -> ExecStatus {
                       int64_t total = 0;
                       for (const auto& l : lines) {
@@ -616,7 +664,7 @@ ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
                           db.customers, CustomerKey(p->w_id, d, c_id),
                           ColumnMask::Of(kColCBalance),
                           [&db, total](auto& t,
-                                       CustomerTable::Object* cobj,
+                                       auto* cobj,
                                        const CustomerRow* c) -> ExecStatus {
                             if (c == nullptr) {
                               return ExecStatus::kUserAbort;
@@ -635,12 +683,12 @@ ExecStatus DeliveryBody(Txn& t, TpccDb& db, const TpccParams* p) {
   return ExecStatus::kOk;
 }
 
-template <typename Txn>
-ExecStatus StockLevelBody(Txn& t, TpccDb& db, const TpccParams* p) {
+template <typename Txn, typename Db>
+ExecStatus StockLevelBody(Txn& t, Db& db, const TpccParams* p) {
   return t.Lookup(
       db.districts, DistrictKey(p->w_id, p->d_id),
       ColumnMask::Of(kColDNextOid),
-      [&db, p](auto& t, DistrictTable::Object*,
+      [&db, p](auto& t, auto*,
                const DistrictRow* d) -> ExecStatus {
         if (d == nullptr) return ExecStatus::kUserAbort;
         const uint64_t next_o = d->next_o_id;
@@ -652,7 +700,7 @@ ExecStatus StockLevelBody(Txn& t, TpccDb& db, const TpccParams* p) {
             [](const uint64_t& key, const OrderLineRow&) { return key; },
             nullptr, ColumnMask::Of(kColOlInfo), 0, false,
             [&db, p](auto& t,
-                     const std::vector<ScanEntry<OrderLineTable>>& lines)
+                     const auto& lines)
                 -> ExecStatus {
               std::vector<uint64_t> seen;
               int low_stock = 0;
@@ -665,7 +713,7 @@ ExecStatus StockLevelBody(Txn& t, TpccDb& db, const TpccParams* p) {
                 const ExecStatus st = t.Lookup(
                     db.stock, StockKey(p->w_id, i_id),
                     ColumnMask::Of(kColSQuantity),
-                    [p, &low_stock](auto&, StockTable::Object*,
+                    [p, &low_stock](auto&, auto*,
                                     const StockRow* s) -> ExecStatus {
                       if (s != nullptr && s->quantity < p->threshold) {
                         ++low_stock;
@@ -681,8 +729,8 @@ ExecStatus StockLevelBody(Txn& t, TpccDb& db, const TpccParams* p) {
 
 }  // namespace
 
-template <typename Exec>
-typename Exec::Program TpccProgram(TpccDb& db, const TpccParams& p) {
+template <typename Exec, typename Db>
+typename Exec::Program TpccProgram(Db& db, const TpccParams& p) {
   // The program lambda owns the parameter copy; closures built by the
   // bodies capture a pointer to it, which stays valid across repair rounds
   // and restarts (the std::function outlives the transaction attempt).
@@ -708,39 +756,42 @@ template Mv3cExecutor::Program TpccProgram<Mv3cExecutor>(TpccDb&,
                                                          const TpccParams&);
 template OmvccExecutor::Program TpccProgram<OmvccExecutor>(
     TpccDb&, const TpccParams&);
+template SvExecutor<OccEngine>::Program TpccProgram<SvExecutor<OccEngine>>(
+    TpccSvDb&, const TpccParams&);
+template SvExecutor<SiloEngine>::Program TpccProgram<SvExecutor<SiloEngine>>(
+    TpccSvDb&, const TpccParams&);
 
 // ---------------------------------------------------------------------------
 // Consistency checks (spec clause 3.3.2, subset)
 // ---------------------------------------------------------------------------
 
-bool CheckConsistency(TpccDb& db, std::string* why) {
+template <typename Storage>
+bool CheckConsistency(TpccDatabase<Storage>& db, std::string* why) {
   const TpccScale& s = db.scale();
   for (uint64_t w = 1; w <= s.n_warehouses; ++w) {
-    const WarehouseRow* wr = LatestRow<WarehouseTable>(db.warehouses.Find(w));
-    if (wr == nullptr) {
+    WarehouseRow wr;
+    if (!LatestRow(db.warehouses, w, &wr)) {
       *why = "missing warehouse";
       return false;
     }
     int64_t d_ytd_sum = 0;
     for (uint64_t d = 1; d <= s.n_districts; ++d) {
-      const DistrictRow* dr =
-          LatestRow<DistrictTable>(db.districts.Find(DistrictKey(w, d)));
-      if (dr == nullptr) {
+      DistrictRow dr;
+      if (!LatestRow(db.districts, DistrictKey(w, d), &dr)) {
         *why = "missing district";
         return false;
       }
-      d_ytd_sum += dr->ytd;
+      d_ytd_sum += dr.ytd;
       // Consistency 2: d_next_o_id - 1 == max(o_id) in ORDER.
-      const uint64_t max_o = dr->next_o_id - 1;
+      const uint64_t max_o = dr.next_o_id - 1;
+      OrderRow orow;
       if (max_o > 0) {
-        if (LatestRow<OrderTable>(db.orders.Find(OrderKey(w, d, max_o))) ==
-            nullptr) {
+        if (!LatestRow(db.orders, OrderKey(w, d, max_o), &orow)) {
           *why = "d_next_o_id does not match max order id (w=" +
                  std::to_string(w) + " d=" + std::to_string(d) + ")";
           return false;
         }
-        OrderTable::Object* beyond = db.orders.Find(OrderKey(w, d, max_o + 1));
-        if (beyond != nullptr && LatestRow<OrderTable>(beyond) != nullptr) {
+        if (LatestRow(db.orders, OrderKey(w, d, max_o + 1), &orow)) {
           *why = "order beyond d_next_o_id";
           return false;
         }
@@ -748,22 +799,19 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
       // Consistency 4: the most recent orders carry exactly ol_cnt lines.
       const uint64_t check_from = max_o > 30 ? max_o - 30 : 1;
       for (uint64_t o_id = check_from; o_id <= max_o; ++o_id) {
-        OrderTable::Object* oo = db.orders.Find(OrderKey(w, d, o_id));
-        const OrderRow* orow = LatestRow<OrderTable>(oo);
-        if (orow == nullptr) continue;
+        if (!LatestRow(db.orders, OrderKey(w, d, o_id), &orow)) continue;
         int cnt = 0;
+        OrderLineRow line;
         for (uint64_t ol = 1; ol < kMaxOrderLines; ++ol) {
-          OrderLineTable::Object* lo =
-              db.order_lines.Find(OrderLineKey(w, d, o_id, ol));
-          if (lo != nullptr && LatestRow<OrderLineTable>(lo) != nullptr) {
-            ++cnt;
-          }
+          cnt += LatestRow(db.order_lines, OrderLineKey(w, d, o_id, ol), &line)
+                     ? 1
+                     : 0;
         }
-        if (cnt != orow->ol_cnt) {
+        if (cnt != orow.ol_cnt) {
           *why = "order line count mismatch (w=" + std::to_string(w) +
                  " d=" + std::to_string(d) + " o=" + std::to_string(o_id) +
                  " have=" + std::to_string(cnt) +
-                 " want=" + std::to_string(orow->ol_cnt) + ")";
+                 " want=" + std::to_string(orow.ol_cnt) + ")";
           return false;
         }
       }
@@ -772,14 +820,17 @@ bool CheckConsistency(TpccDb& db, std::string* why) {
     // seeded values so scaled-down district counts also pass.
     const int64_t w_seed = 30000000;
     const int64_t d_seed_sum = 3000000 * static_cast<int64_t>(s.n_districts);
-    if (wr->ytd - w_seed != d_ytd_sum - d_seed_sum) {
+    if (wr.ytd - w_seed != d_ytd_sum - d_seed_sum) {
       *why = "w_ytd delta != sum(d_ytd) delta for w=" + std::to_string(w) +
-             ": " + std::to_string(wr->ytd - w_seed) + " vs " +
+             ": " + std::to_string(wr.ytd - w_seed) + " vs " +
              std::to_string(d_ytd_sum - d_seed_sum);
       return false;
     }
   }
   return true;
 }
+
+template bool CheckConsistency(TpccDb&, std::string*);
+template bool CheckConsistency(TpccSvDb&, std::string*);
 
 }  // namespace mv3c::tpcc

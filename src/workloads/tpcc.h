@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -13,10 +14,11 @@
 #include "index/ordered_index.h"
 #include "mv3c/mv3c_executor.h"
 #include "omvcc/omvcc_transaction.h"
+#include "sv/sv_table.h"
 
 namespace mv3c::tpcc {
 
-/// TPC-C for the MVCC engines (paper §6.1.1, Figures 8 and 11): all nine
+/// TPC-C for all four engines (paper §6.1.1, Figures 8 and 11): all nine
 /// tables, the full five-transaction mix, NURand key skew, and the spec's
 /// 1% invalid-item rollback. Table sizes follow the spec (10 districts per
 /// warehouse, 3000 customers per district, 100k items/stock) but are
@@ -222,15 +224,29 @@ struct StockRow {
   }
 };
 
-using WarehouseTable = Table<uint64_t, WarehouseRow>;
-using DistrictTable = Table<uint64_t, DistrictRow>;
-using CustomerTable = Table<uint64_t, CustomerRow>;
-using HistoryTable = Table<uint64_t, HistoryRow>;
-using OrderTable = Table<uint64_t, OrderRow>;
-using NewOrderTable = Table<uint64_t, NewOrderRow>;
-using OrderLineTable = Table<uint64_t, OrderLineRow>;
-using ItemTable = Table<uint64_t, ItemRow>;
-using StockTable = Table<uint64_t, StockRow>;
+/// Table storage of the MVCC engines (MV3C, OMVCC): version chains in a
+/// TransactionManager's version space.
+struct MvccStorage {
+  template <typename Row>
+  using Table = mv3c::Table<uint64_t, Row>;
+};
+
+/// Table storage of the single-version baselines (OCC, SILO): one TID word
+/// and one row per record.
+struct SvStorage {
+  template <typename Row>
+  using Table = sv::SvTable<uint64_t, Row>;
+};
+
+using WarehouseTable = MvccStorage::Table<WarehouseRow>;
+using DistrictTable = MvccStorage::Table<DistrictRow>;
+using CustomerTable = MvccStorage::Table<CustomerRow>;
+using HistoryTable = MvccStorage::Table<HistoryRow>;
+using OrderTable = MvccStorage::Table<OrderRow>;
+using NewOrderTable = MvccStorage::Table<NewOrderRow>;
+using OrderLineTable = MvccStorage::Table<OrderLineRow>;
+using ItemTable = MvccStorage::Table<ItemRow>;
+using StockTable = MvccStorage::Table<StockRow>;
 
 // Secondary index key/partition types.
 
@@ -246,9 +262,6 @@ struct CustomerNameKey {
 struct CustomerNamePartition {
   size_t operator()(const CustomerNameKey& k) const { return k.wd; }
 };
-using CustomerNameIndex =
-    OrderedIndex<CustomerNameKey, CustomerTable::Object*,
-                 CustomerNamePartition>;
 
 /// Packed-uint64 secondary indexes: dividing the key by a constant yields
 /// the partition (a district, or a customer), so range scans stay within
@@ -258,24 +271,12 @@ struct DivPartition {
   size_t operator()(uint64_t key) const { return key / Divisor; }
 };
 
-/// NEW-ORDER queue per district: Delivery scans ascending for the oldest
-/// undelivered order.
-using NewOrderIndex =
-    OrderedIndex<uint64_t, NewOrderTable::Object*,
-                 DivPartition<kMaxOrdersPerD>>;
 /// Orders by customer (key = CustomerKey * kMaxOrdersPerD + o): Order-
 /// Status scans descending for the customer's latest order.
-using CustomerOrderIndex =
-    OrderedIndex<uint64_t, OrderTable::Object*, DivPartition<kMaxOrdersPerD>>;
 inline uint64_t CustomerOrderKey(uint64_t w, uint64_t d, uint64_t c,
                                  uint64_t o) {
   return CustomerKey(w, d, c) * kMaxOrdersPerD + o;
 }
-/// Order lines by district (primary-key order): Delivery reads one order's
-/// lines, Stock-Level the lines of the last 20 orders.
-using OrderLineIndex =
-    OrderedIndex<uint64_t, OrderLineTable::Object*,
-                 DivPartition<kMaxOrdersPerD * kMaxOrderLines>>;
 
 // ---------------------------------------------------------------------------
 // Database
@@ -292,36 +293,64 @@ struct TpccScale {
   uint64_t preload_new_orders_per_d = 900;
 };
 
-class TpccDb {
+/// The nine TPC-C tables and four secondary indexes over one table
+/// `Storage` (MvccStorage or SvStorage). Population and the consistency
+/// check are written once for both; only how a row is stored and read
+/// back differs per storage.
+template <typename Storage>
+class TpccDatabase {
  public:
-  TpccDb(TransactionManager* mgr, const TpccScale& scale)
-      : warehouses("WAREHOUSE", scale.n_warehouses,
-                   WwPolicy::kAllowMultiple),
-        districts("DISTRICT", scale.n_warehouses * scale.n_districts,
-                  WwPolicy::kAllowMultiple),
-        customers("CUSTOMER",
-                  scale.n_warehouses * scale.n_districts *
-                      scale.n_customers_per_d,
-                  WwPolicy::kAllowMultiple),
-        history("HISTORY", 1 << 16),
-        orders("ORDER", 1 << 16, WwPolicy::kAllowMultiple),
-        new_orders("NEW-ORDER", 1 << 16),
-        order_lines("ORDER-LINE", 1 << 18, WwPolicy::kAllowMultiple),
-        items("ITEM", scale.n_items),
-        stock("STOCK", scale.n_warehouses * scale.n_items,
-              WwPolicy::kAllowMultiple),
-        mgr_(mgr),
-        scale_(scale) {}
+  static constexpr bool kMultiVersion = std::is_same_v<Storage, MvccStorage>;
 
-  /// Populates all nine tables per the spec's rules (scaled).
+  template <typename Row>
+  using TableOf = typename Storage::template Table<Row>;
+  using WarehouseTable = TableOf<WarehouseRow>;
+  using DistrictTable = TableOf<DistrictRow>;
+  using CustomerTable = TableOf<CustomerRow>;
+  using HistoryTable = TableOf<HistoryRow>;
+  using OrderTable = TableOf<OrderRow>;
+  using NewOrderTable = TableOf<NewOrderRow>;
+  using OrderLineTable = TableOf<OrderLineRow>;
+  using ItemTable = TableOf<ItemRow>;
+  using StockTable = TableOf<StockRow>;
+
+  using CustomerNameIndex =
+      OrderedIndex<CustomerNameKey, typename CustomerTable::Object*,
+                   CustomerNamePartition>;
+  /// NEW-ORDER queue per district: Delivery scans ascending for the oldest
+  /// undelivered order.
+  using NewOrderIndex = OrderedIndex<uint64_t, typename NewOrderTable::Object*,
+                                     DivPartition<kMaxOrdersPerD>>;
+  using CustomerOrderIndex =
+      OrderedIndex<uint64_t, typename OrderTable::Object*,
+                   DivPartition<kMaxOrdersPerD>>;
+  /// Order lines by district (primary-key order): Delivery reads one
+  /// order's lines, Stock-Level the lines of the last 20 orders.
+  using OrderLineIndex =
+      OrderedIndex<uint64_t, typename OrderLineTable::Object*,
+                   DivPartition<kMaxOrdersPerD * kMaxOrderLines>>;
+
+  TpccDatabase(TransactionManager* mgr, const TpccScale& scale)
+    requires kMultiVersion
+      : TpccDatabase(scale, mgr) {}
+  explicit TpccDatabase(const TpccScale& scale)
+    requires(!kMultiVersion)
+      : TpccDatabase(scale, nullptr) {}
+
+  /// Populates all nine tables per the spec's rules (scaled). The MVCC
+  /// storage loads through committed MV3C transactions, the single-version
+  /// storage writes rows in place; both draw the same random sequence, so
+  /// one seed yields the same rows in either.
   void Load(uint64_t seed = 1);
 
   /// Physically removes NEW-ORDER queue entries whose rows were delivered
   /// (tombstoned) and are no longer visible to any active transaction.
   /// Delivery's oldest-undelivered scan otherwise re-skips every past
   /// delivery's ghost on each run. Call from driver maintenance.
-  size_t CleanupNewOrderQueue();
+  size_t CleanupNewOrderQueue()
+    requires kMultiVersion;
 
+  /// nullptr for the single-version storage.
   TransactionManager* manager() { return mgr_; }
   const TpccScale& scale() const { return scale_; }
 
@@ -346,10 +375,40 @@ class TpccDb {
   OrderLineIndex order_lines_by_district;
 
  private:
+  TpccDatabase(const TpccScale& scale, TransactionManager* mgr)
+      : warehouses("WAREHOUSE", scale.n_warehouses),
+        districts("DISTRICT", scale.n_warehouses * scale.n_districts),
+        customers("CUSTOMER", scale.n_warehouses * scale.n_districts *
+                                  scale.n_customers_per_d),
+        history("HISTORY", 1 << 16),
+        orders("ORDER", 1 << 16),
+        new_orders("NEW-ORDER", 1 << 16),
+        order_lines("ORDER-LINE", 1 << 18),
+        items("ITEM", scale.n_items),
+        stock("STOCK", scale.n_warehouses * scale.n_items),
+        mgr_(mgr),
+        scale_(scale) {
+    if constexpr (kMultiVersion) {
+      // Read-modify-written tables let concurrent uncommitted versions
+      // coexist, so their conflicts surface at validation and MV3C
+      // repairs them (see the file comment).
+      for (TableBase* t : std::initializer_list<TableBase*>{
+               &warehouses, &districts, &customers, &orders, &order_lines,
+               &stock}) {
+        t->set_ww_policy(WwPolicy::kAllowMultiple);
+      }
+    }
+  }
+
   TransactionManager* mgr_;
   TpccScale scale_;
   std::atomic<uint64_t> history_seq_{0};
 };
+
+/// The database the MVCC engines run on.
+using TpccDb = TpccDatabase<MvccStorage>;
+/// The database the OCC and SILO baselines run on.
+using TpccSvDb = TpccDatabase<SvStorage>;
 
 // ---------------------------------------------------------------------------
 // Transaction inputs and generator
@@ -426,9 +485,10 @@ class TpccGenerator {
 // ---------------------------------------------------------------------------
 
 /// The program of one TPC-C transaction, written once in the MV3C DSL for
-/// both MVCC engines (`Exec` is Mv3cExecutor or OmvccExecutor).
-template <typename Exec>
-typename Exec::Program TpccProgram(TpccDb& db, const TpccParams& p);
+/// every engine: `Exec` is Mv3cExecutor or OmvccExecutor on a TpccDb, or
+/// SvExecutor<OccEngine>/SvExecutor<SiloEngine> on a TpccSvDb.
+template <typename Exec, typename Db>
+typename Exec::Program TpccProgram(Db& db, const TpccParams& p);
 
 inline Mv3cExecutor::Program Mv3cTpccProgram(TpccDb& db,
                                              const TpccParams& p) {
@@ -441,9 +501,10 @@ inline OmvccExecutor::Program OmvccTpccProgram(TpccDb& db,
 }
 
 /// TPC-C consistency conditions (spec clause 3.3.2, subset): used by tests
-/// after workload runs. Returns true and fills `why` on the first
-/// violation found.
-bool CheckConsistency(TpccDb& db, std::string* why);
+/// after workload runs. Returns true if all hold; otherwise fills `why`
+/// with the first violation found. Must not run concurrently with writers.
+template <typename Storage>
+bool CheckConsistency(TpccDatabase<Storage>& db, std::string* why);
 
 }  // namespace mv3c::tpcc
 

@@ -5,7 +5,6 @@
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
-#include "workloads/tpcc_sv.h"
 #include "workloads/trading.h"
 
 namespace mv3c {
@@ -46,7 +45,7 @@ inline void RegisterWalTables(wal::Catalog& cat, tpcc::TpccDb& db) {
   cat.RegisterMvcc(9, &db.stock, db.manager());
 }
 
-inline void RegisterWalTables(wal::Catalog& cat, tpcc::SvTpccDb& db) {
+inline void RegisterWalTables(wal::Catalog& cat, tpcc::TpccSvDb& db) {
   cat.RegisterSv(1, &db.warehouses);
   cat.RegisterSv(2, &db.districts);
   cat.RegisterSv(3, &db.customers);

@@ -1,11 +1,12 @@
-// Cross-engine equivalence: MV3C and OMVCC run the same DSL program of
+// Cross-engine equivalence: every engine runs the same DSL program of
 // every transaction, so one seeded serial stream (no concurrency, hence no
-// conflicts, repairs or restarts) must leave both engines' databases in
+// conflicts, repairs or restarts) must leave every engine's database in
 // the same state. Each workload runs once per engine on a fresh database,
 // and every table's order-independent digest of its visible committed
-// state (wal::DigestMvccTable) must match. TPC-C runs at two warehouses so
-// remote supply items, and with them ORDER rows with all_local == false,
-// occur.
+// state (wal::DigestMvccTable, wal::DigestSvTable) must match. TPC-C runs
+// on all four engines — MV3C and OMVCC on the MVCC storage, OCC and SILO
+// on the single-version one — at two warehouses so remote supply items,
+// and with them ORDER rows with all_local == false, occur.
 
 #include <string>
 #include <utility>
@@ -13,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "occ/occ_engine.h"
+#include "silo/silo_engine.h"
+#include "sv/sv_executor.h"
 #include "wal/state_hash.h"
 #include "workloads/banking.h"
 #include "workloads/tatp.h"
@@ -41,10 +45,18 @@ void RunOne(Exec& e, typename Exec::Program program, Outcome* out) {
   }
 }
 
+template <typename TableT>
+wal::TableDigest Digest(const TableT& table) {
+  if constexpr (requires { table.ForEachRecord([](auto&&...) {}); }) {
+    return wal::DigestSvTable(table);
+  } else {
+    return wal::DigestMvccTable(table);
+  }
+}
+
 template <typename... Tables>
 void DigestTables(Outcome* out, const Tables&... tables) {
-  (out->tables.emplace_back(tables.name(), wal::DigestMvccTable(tables)),
-   ...);
+  (out->tables.emplace_back(tables.name(), Digest(tables)), ...);
 }
 
 void ExpectSameState(const Outcome& mv3c, const Outcome& omvcc) {
@@ -130,17 +142,31 @@ std::vector<tpcc::TpccParams> TpccStream() {
   return stream;
 }
 
-template <typename Exec>
-Outcome Tpcc(const std::vector<tpcc::TpccParams>& stream) {
-  TransactionManager mgr;
-  tpcc::TpccDb db(&mgr, TwoWarehouses());
+template <typename Exec, typename Db>
+Outcome RunTpccStream(Exec& e, Db& db,
+                      const std::vector<tpcc::TpccParams>& stream) {
   db.Load(3);
   Outcome out;
-  Exec e(&mgr);
   for (const auto& p : stream) RunOne(e, tpcc::TpccProgram<Exec>(db, p), &out);
   DigestTables(&out, db.warehouses, db.districts, db.customers, db.history,
                db.orders, db.new_orders, db.order_lines, db.items, db.stock);
   return out;
+}
+
+template <typename Exec>
+Outcome Tpcc(const std::vector<tpcc::TpccParams>& stream) {
+  TransactionManager mgr;
+  tpcc::TpccDb db(&mgr, TwoWarehouses());
+  Exec e(&mgr);
+  return RunTpccStream(e, db, stream);
+}
+
+template <typename Engine>
+Outcome SvTpcc(const std::vector<tpcc::TpccParams>& stream) {
+  tpcc::TpccSvDb db(TwoWarehouses());
+  Engine engine;
+  SvExecutor<Engine> e(&engine);
+  return RunTpccStream(e, db, stream);
 }
 
 TEST(EngineEquivalenceTest, Banking) {
@@ -176,6 +202,8 @@ TEST(EngineEquivalenceTest, TpccTwoWarehouses) {
   const Outcome mv3c = Tpcc<Mv3cExecutor>(stream);
   EXPECT_GT(mv3c.committed, 1200u);
   ExpectSameState(mv3c, Tpcc<OmvccExecutor>(stream));
+  ExpectSameState(mv3c, SvTpcc<OccEngine>(stream));
+  ExpectSameState(mv3c, SvTpcc<SiloEngine>(stream));
 }
 
 }  // namespace

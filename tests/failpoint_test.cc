@@ -297,11 +297,13 @@ TEST_F(InjectionTest, SvCommitInjectionRetriesThenCommits) {
   table.LoadRow(1, 100);
   OccEngine engine;
   auto increment = [&](sv::SvTransaction& t) {
-    int64_t v = 0;
-    sv::SvTable<uint64_t, int64_t>::Rec* rec = nullptr;
-    if (!t.Read(table, 1, &v, &rec)) return ExecStatus::kUserAbort;
-    t.Update(table, rec, v + 1);
-    return ExecStatus::kOk;
+    return t.Lookup(table, 1, ColumnMask::All(),
+                    [&table](sv::SvTransaction& t, auto* rec,
+                             const int64_t* v) {
+                      if (v == nullptr) return ExecStatus::kUserAbort;
+                      return t.UpdateRow(table, rec, *v + 1,
+                                         ColumnMask::All());
+                    });
   };
   {
     fp::Config cfg;

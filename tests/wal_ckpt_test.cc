@@ -366,7 +366,7 @@ TEST_F(WalCkptTest, SvTpccCheckpointCapturesPopulation) {
   const tpcc::TpccScale scale = SmallScale();
   wal::WalConfig config = Config(/*segment_bytes=*/64 << 10);
 
-  tpcc::SvTpccDb db(scale);
+  tpcc::TpccSvDb db(scale);
   wal::Catalog cat;
   RegisterWalTables(cat, db);
   {
@@ -380,13 +380,13 @@ TEST_F(WalCkptTest, SvTpccCheckpointCapturesPopulation) {
     SvExecutor<OccEngine> e(&engine);
     e.set_wal(&lm);
     for (int i = 1; i <= 300; ++i) {
-      (void)e.Run(tpcc::SvTpccProgram(db, gen.Next()));
+      (void)e.Run(tpcc::TpccProgram<SvExecutor<OccEngine>>(db, gen.Next()));
       if (i % 120 == 0) { ASSERT_TRUE(ck.TakeCheckpoint()); }
     }
     ASSERT_TRUE(lm.FlushNow());
     lm.Stop();
   }
-  auto digest_all = [](tpcc::SvTpccDb& d) {
+  auto digest_all = [](tpcc::TpccSvDb& d) {
     return std::vector<wal::TableDigest>{
         wal::DigestSvTable(d.warehouses),  wal::DigestSvTable(d.districts),
         wal::DigestSvTable(d.customers),   wal::DigestSvTable(d.history),
@@ -398,14 +398,14 @@ TEST_F(WalCkptTest, SvTpccCheckpointCapturesPopulation) {
 
   // Two-phase recovery into an UNLOADED database: the fuzzy scan captured
   // the population, the if-newer suffix replay reconciles the rest.
-  tpcc::SvTpccDb db_a(scale);
+  tpcc::TpccSvDb db_a(scale);
   wal::Catalog cat_a;
   RegisterWalTables(cat_a, db_a);
   ExpectUsedCheckpoint(cat_a.RecoverWithCheckpoints(dir_.string()));
   EXPECT_EQ(digest_all(db_a), live);
 
   // Genesis replay still needs the seed reload (checkpoint-style crutch).
-  tpcc::SvTpccDb db_b(scale);
+  tpcc::TpccSvDb db_b(scale);
   db_b.Load(7);
   wal::Catalog cat_b;
   RegisterWalTables(cat_b, db_b);

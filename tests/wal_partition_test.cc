@@ -247,7 +247,7 @@ tpcc::TpccScale PartitionScale() {
   return s;
 }
 
-std::vector<wal::TableDigest> DigestSvTpcc(tpcc::SvTpccDb& d) {
+std::vector<wal::TableDigest> DigestSvTpcc(tpcc::TpccSvDb& d) {
   return std::vector<wal::TableDigest>{
       wal::DigestSvTable(d.warehouses),  wal::DigestSvTable(d.districts),
       wal::DigestSvTable(d.customers),   wal::DigestSvTable(d.history),
@@ -261,7 +261,7 @@ TEST_F(WalPartitionTest, TpccSilo) {
   RunAcrossPartitionCounts(
       [&](uint32_t p) { return Config(p); },
       [&](const wal::WalConfig& c) {
-        tpcc::SvTpccDb db(scale);
+        tpcc::TpccSvDb db(scale);
         wal::Catalog cat;
         RegisterWalTables(cat, db);
         wal::LogManager lm(c);
@@ -281,7 +281,8 @@ TEST_F(WalPartitionTest, TpccSilo) {
         const DriveResult res = driver.Run(
             CountedSource<SvExecutor<SiloEngine>::Program>(
                 stream.size(), [&](uint64_t i) {
-                  return tpcc::SvTpccProgram(db, stream[i]);
+                  return tpcc::TpccProgram<SvExecutor<SiloEngine>>(
+                      db, stream[i]);
                 }));
         EXPECT_GT(res.committed, 0u);
         EXPECT_TRUE(lm.FlushNow());
@@ -289,7 +290,7 @@ TEST_F(WalPartitionTest, TpccSilo) {
         return DigestSvTpcc(db);
       },
       [&](const std::string& log_dir) {
-        tpcc::SvTpccDb db(scale);
+        tpcc::TpccSvDb db(scale);
         db.Load(7);  // same seed, then the log suffix on top
         wal::Catalog cat;
         RegisterWalTables(cat, db);

@@ -330,7 +330,7 @@ void RunSvTpccEquivalence(const fs::path& dir) {
   config.dir = dir.string();
   config.ack = wal::WalConfig::Ack::kSync;  // exercise the sync-wait path
 
-  tpcc::SvTpccDb db(scale);
+  tpcc::TpccSvDb db(scale);
   wal::Catalog cat;
   RegisterWalTables(cat, db);
   {
@@ -350,13 +350,15 @@ void RunSvTpccEquivalence(const fs::path& dir) {
     const DriveResult res =
         driver.Run(CountedSource<typename SvExecutor<Engine>::Program>(
             stream.size(),
-            [&](uint64_t i) { return tpcc::SvTpccProgram(db, stream[i]); }));
+            [&](uint64_t i) {
+              return tpcc::TpccProgram<SvExecutor<Engine>>(db, stream[i]);
+            }));
     ASSERT_GT(res.committed, 0u);
     ASSERT_TRUE(lm.FlushNow());
     lm.Stop();
   }
 
-  auto digest_all = [](tpcc::SvTpccDb& d) {
+  auto digest_all = [](tpcc::TpccSvDb& d) {
     return std::vector<wal::TableDigest>{
         wal::DigestSvTable(d.warehouses),  wal::DigestSvTable(d.districts),
         wal::DigestSvTable(d.customers),   wal::DigestSvTable(d.history),
@@ -367,7 +369,7 @@ void RunSvTpccEquivalence(const fs::path& dir) {
   const std::vector<wal::TableDigest> before = digest_all(db);
 
   // Checkpoint-style recovery: reload the same population, replay on top.
-  tpcc::SvTpccDb db2(scale);
+  tpcc::TpccSvDb db2(scale);
   db2.Load(7);
   wal::Catalog cat2;
   RegisterWalTables(cat2, db2);
